@@ -26,7 +26,7 @@ StatusOr<ExactForeverResult> ExactForever(const ForeverQuery& query,
     if (b) ++result.num_bottom;
   }
   result.irreducible = result.num_components == 1;
-  result.aperiodic = space.chain.IsAperiodic();
+  result.aperiodic = space.chain.IsAperiodic(scc);
 
   std::vector<bool> event_states = space.EventStates(query.event);
   PFQL_ASSIGN_OR_RETURN(
@@ -51,7 +51,7 @@ StatusOr<ExactForeverResult> ExactForeverEvent(
     if (b) ++result.num_bottom;
   }
   result.irreducible = result.num_components == 1;
-  result.aperiodic = space.chain.IsAperiodic();
+  result.aperiodic = space.chain.IsAperiodic(scc);
 
   std::vector<bool> indicator(space.states.size(), false);
   for (size_t s = 0; s < space.states.size(); ++s) {

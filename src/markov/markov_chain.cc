@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <type_traits>
 
 namespace pfql {
 
@@ -147,8 +148,11 @@ bool MarkovChain::IsIrreducible() const {
 }
 
 size_t MarkovChain::PeriodOf(size_t state) const {
+  return PeriodOf(state, DecomposeScc());
+}
+
+size_t MarkovChain::PeriodOf(size_t state, const SccDecomposition& scc) const {
   // gcd of (level[u] + 1 - level[w]) over intra-SCC edges, levels from BFS.
-  SccDecomposition scc = DecomposeScc();
   const size_t comp = scc.component_of[state];
   std::vector<int64_t> level(num_states(), -1);
   std::vector<size_t> queue{state};
@@ -170,8 +174,9 @@ size_t MarkovChain::PeriodOf(size_t state) const {
   return g == 0 ? 0 : static_cast<size_t>(g);
 }
 
-bool MarkovChain::IsAperiodic() const {
-  SccDecomposition scc = DecomposeScc();
+bool MarkovChain::IsAperiodic() const { return IsAperiodic(DecomposeScc()); }
+
+bool MarkovChain::IsAperiodic(const SccDecomposition& scc) const {
   for (const auto& comp : scc.components) {
     // Singleton components without a self-loop have no cycle; they impose
     // no periodicity constraint.
@@ -182,9 +187,14 @@ bool MarkovChain::IsAperiodic() const {
       }
       if (!has_self) continue;
     }
-    if (PeriodOf(comp[0]) != 1) return false;
+    if (PeriodOf(comp[0], scc) != 1) return false;
   }
   return true;
+}
+
+bool MarkovChain::IsErgodic() const {
+  const SccDecomposition scc = DecomposeScc();
+  return scc.components.size() == 1 && IsAperiodic(scc);
 }
 
 StatusOr<std::vector<double>> MarkovChain::StationaryDistribution() const {
@@ -285,6 +295,28 @@ StatusOr<std::vector<F>> AbsorptionImpl(
     const std::function<F(const BigRational&)>& convert) {
   const size_t num_comps = scc.components.size();
   std::vector<F> result(num_comps, F(0));
+  if (scc.is_bottom[scc.component_of[start]]) {
+    result[scc.component_of[start]] = F(1);
+    return result;
+  }
+
+  // One right-hand-side column per bottom component.
+  std::vector<size_t> bottoms;
+  std::vector<size_t> column_of(num_comps, SIZE_MAX);
+  for (size_t comp = 0; comp < num_comps; ++comp) {
+    if (!scc.is_bottom[comp]) continue;
+    column_of[comp] = bottoms.size();
+    bottoms.push_back(comp);
+  }
+  if constexpr (!std::is_same_v<F, double>) {
+    // A walk on a finite chain leaves the transient states almost surely,
+    // so with one bottom component the exact answer is 1 without a solve.
+    // (The double solve keeps running: its rounded answer is the contract.)
+    if (bottoms.size() == 1) {
+      result[bottoms[0]] = F(1);
+      return result;
+    }
+  }
 
   // Transient states = states in non-bottom components.
   std::vector<size_t> transient;
@@ -296,32 +328,27 @@ StatusOr<std::vector<F>> AbsorptionImpl(
     }
   }
 
-  if (scc.is_bottom[scc.component_of[start]]) {
-    result[scc.component_of[start]] = F(1);
-    return result;
-  }
-
+  // Solve (I - P_TT) H = P_TB once, one column of H per bottom component.
   const size_t m = transient.size();
-  for (size_t comp = 0; comp < num_comps; ++comp) {
-    if (!scc.is_bottom[comp]) continue;
-    // Solve (I - P_TT) h = P_TB(comp) * 1.
-    std::vector<std::vector<F>> a(m, std::vector<F>(m, F(0)));
-    std::vector<F> b(m, F(0));
-    for (size_t ti = 0; ti < m; ++ti) {
-      a[ti][ti] = F(1);
-      for (const auto& [j, p] : chain.Row(transient[ti])) {
-        F pj = convert(p);
-        if (transient_index[j] != SIZE_MAX) {
-          a[ti][transient_index[j]] = a[ti][transient_index[j]] - pj;
-        } else if (scc.component_of[j] == comp) {
-          b[ti] = b[ti] + pj;
-        }
+  std::vector<std::vector<F>> a(m, std::vector<F>(m, F(0)));
+  std::vector<std::vector<F>> b(bottoms.size(), std::vector<F>(m, F(0)));
+  for (size_t ti = 0; ti < m; ++ti) {
+    a[ti][ti] = F(1);
+    for (const auto& [j, p] : chain.Row(transient[ti])) {
+      F pj = convert(p);
+      if (transient_index[j] != SIZE_MAX) {
+        a[ti][transient_index[j]] = a[ti][transient_index[j]] - pj;
+      } else {
+        F& entry = b[column_of[scc.component_of[j]]][ti];
+        entry = entry + pj;
       }
     }
-    PFQL_ASSIGN_OR_RETURN(std::vector<F> h,
-                          SolveLinearSystemField<F>(std::move(a),
-                                                    std::move(b)));
-    result[comp] = h[transient_index[start]];
+  }
+  PFQL_ASSIGN_OR_RETURN(
+      std::vector<std::vector<F>> h,
+      SolveLinearSystemFieldColumns<F>(std::move(a), std::move(b)));
+  for (size_t k = 0; k < bottoms.size(); ++k) {
+    result[bottoms[k]] = std::move(h[k][transient_index[start]]);
   }
   return result;
 }
@@ -348,8 +375,11 @@ StatusOr<double> MarkovChain::LongRunProbability(
     size_t start, const std::function<bool(size_t)>& event) const {
   if (start >= num_states()) return Status::OutOfRange("start out of range");
   SccDecomposition scc = DecomposeScc();
-  PFQL_ASSIGN_OR_RETURN(std::vector<double> absorb,
-                        AbsorptionProbabilities(start));
+  PFQL_ASSIGN_OR_RETURN(
+      std::vector<double> absorb,
+      AbsorptionImpl<double>(*this, scc, start, [](const BigRational& p) {
+        return p.ToDouble();
+      }));
   double total = 0.0;
   for (size_t comp = 0; comp < scc.components.size(); ++comp) {
     if (!scc.is_bottom[comp] || absorb[comp] <= 0.0) continue;
@@ -369,8 +399,10 @@ StatusOr<BigRational> MarkovChain::ExactLongRunProbability(
     size_t start, const std::function<bool(size_t)>& event) const {
   if (start >= num_states()) return Status::OutOfRange("start out of range");
   SccDecomposition scc = DecomposeScc();
-  PFQL_ASSIGN_OR_RETURN(std::vector<BigRational> absorb,
-                        ExactAbsorptionProbabilities(start));
+  PFQL_ASSIGN_OR_RETURN(
+      std::vector<BigRational> absorb,
+      AbsorptionImpl<BigRational>(*this, scc, start,
+                                  [](const BigRational& p) { return p; }));
   BigRational total;
   for (size_t comp = 0; comp < scc.components.size(); ++comp) {
     if (!scc.is_bottom[comp] || absorb[comp].IsZero()) continue;
@@ -472,10 +504,30 @@ StatusOr<size_t> MarkovChain::MixingTimeFrom(size_t start, double epsilon,
 StatusOr<size_t> MarkovChain::TvMixingTimeFrom(size_t start, double epsilon,
                                                size_t max_steps) const {
   if (start >= num_states()) return Status::OutOfRange("start out of range");
-  if (!IsErgodic()) {
-    return Status::FailedPrecondition("mixing time requires an ergodic chain");
+  // A walk converges in distribution, from every start, exactly when the
+  // chain has one bottom SCC and that SCC is aperiodic; the limit is the
+  // SCC's stationary distribution (zero on transient states). An ergodic
+  // chain is the case where the bottom SCC is the whole chain.
+  const SccDecomposition scc = DecomposeScc();
+  size_t bottom = SIZE_MAX;
+  size_t num_bottom = 0;
+  for (size_t comp = 0; comp < scc.components.size(); ++comp) {
+    if (!scc.is_bottom[comp]) continue;
+    ++num_bottom;
+    bottom = comp;
   }
-  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, StationaryDistribution());
+  if (num_bottom != 1 || PeriodOf(scc.components[bottom][0], scc) != 1) {
+    return Status::FailedPrecondition(
+        "total-variation mixing time requires exactly one bottom SCC, and "
+        "an aperiodic one");
+  }
+  const std::vector<size_t>& support = scc.components[bottom];
+  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi_bottom,
+                        RestrictTo(support).StationaryDistribution());
+  std::vector<double> pi(num_states(), 0.0);
+  for (size_t local = 0; local < support.size(); ++local) {
+    pi[support[local]] = pi_bottom[local];
+  }
   std::vector<double> dist(num_states(), 0.0);
   dist[start] = 1.0;
   for (size_t t = 0; t <= max_steps; ++t) {

@@ -62,10 +62,14 @@ class MarkovChain {
   bool IsIrreducible() const;
   /// Period of the chain restricted to `state`'s SCC (1 = aperiodic there).
   size_t PeriodOf(size_t state) const;
+  /// Same, reusing a decomposition of this chain.
+  size_t PeriodOf(size_t state, const SccDecomposition& scc) const;
   bool IsAperiodic() const;
+  /// Same, reusing a decomposition of this chain.
+  bool IsAperiodic(const SccDecomposition& scc) const;
   /// Irreducible + aperiodic (finite chains are positively recurrent when
   /// irreducible).
-  bool IsErgodic() const { return IsIrreducible() && IsAperiodic(); }
+  bool IsErgodic() const;
 
   // ---- Stationary analysis -------------------------------------------
   /// Solves πP = π, Σπ = 1 (double Gaussian elimination). Requires an
@@ -131,7 +135,9 @@ class MarkovChain {
   /// event (sums of states), so this is the right burn-in for MCMC
   /// sampling of aggregate query events; the per-state max-norm variant
   /// above matches the paper's definition but can under-burn events
-  /// spanning many states.
+  /// spanning many states. The start may be transient: π is the stationary
+  /// distribution of the chain's bottom SCC, which must be the only one and
+  /// aperiodic (FailedPrecondition otherwise).
   StatusOr<size_t> TvMixingTimeFrom(size_t start, double epsilon,
                                     size_t max_steps = 1 << 20) const;
 

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rational.h"
@@ -70,18 +72,28 @@ bool PivotBetter(const F& candidate, const F& incumbent) {
 }
 }  // namespace internal
 
-/// Exact / generic Gaussian elimination: solves A x = b over field F
-/// (double or BigRational). A is given as vector of rows and consumed.
+/// Exact / generic Gauss-Jordan elimination: solves A X = B over field F
+/// (double or BigRational) for every column of B with one elimination of
+/// A. A is given as a vector of rows, B as a vector of columns; both are
+/// consumed, and the solution comes back as columns. Pivots and row
+/// factors depend on A alone, so each column's solution is exactly what a
+/// single-column solve would give.
 template <typename F>
-StatusOr<std::vector<F>> SolveLinearSystemField(std::vector<std::vector<F>> a,
-                                                std::vector<F> b) {
+StatusOr<std::vector<std::vector<F>>> SolveLinearSystemFieldColumns(
+    std::vector<std::vector<F>> a, std::vector<std::vector<F>> b) {
+  // Over an exact field an update by a zero entry is a no-op, so it is
+  // skipped, and the eliminated entry is exactly zero. The double solver
+  // keeps every update so that its rounding, and results, stay as they are.
+  constexpr bool kExact = !std::is_same_v<F, double>;
   const size_t n = a.size();
   for (const auto& row : a) {
     if (row.size() != n) {
       return Status::InvalidArgument("non-square system");
     }
   }
-  if (b.size() != n) return Status::InvalidArgument("rhs size mismatch");
+  for (const auto& column : b) {
+    if (column.size() != n) return Status::InvalidArgument("rhs size mismatch");
+  }
 
   for (size_t col = 0; col < n; ++col) {
     size_t pivot = col;
@@ -92,20 +104,47 @@ StatusOr<std::vector<F>> SolveLinearSystemField(std::vector<std::vector<F>> a,
       return Status::InvalidArgument("singular linear system");
     }
     std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
+    for (auto& column : b) std::swap(column[col], column[pivot]);
     for (size_t r = 0; r < n; ++r) {
       if (r == col || internal::FieldIsZero(a[r][col])) continue;
       F factor = a[r][col] / a[col][col];
-      for (size_t c = col; c < n; ++c) {
+      size_t c = col;
+      if constexpr (kExact) {
+        a[r][col] = F(0);  // what the update below would compute
+        ++c;
+      }
+      for (; c < n; ++c) {
+        if constexpr (kExact) {
+          if (a[col][c].IsZero()) continue;
+        }
         a[r][c] = a[r][c] - factor * a[col][c];
       }
-      b[r] = b[r] - factor * b[col];
+      for (auto& column : b) {
+        if constexpr (kExact) {
+          if (column[col].IsZero()) continue;
+        }
+        column[r] = column[r] - factor * column[col];
+      }
     }
   }
-  std::vector<F> x;
-  x.reserve(n);
-  for (size_t i = 0; i < n; ++i) x.push_back(b[i] / a[i][i]);
+  std::vector<std::vector<F>> x(b.size());
+  for (size_t k = 0; k < b.size(); ++k) {
+    x[k].reserve(n);
+    for (size_t i = 0; i < n; ++i) x[k].push_back(b[k][i] / a[i][i]);
+  }
   return x;
+}
+
+/// Single right-hand side: solves A x = b over field F.
+template <typename F>
+StatusOr<std::vector<F>> SolveLinearSystemField(std::vector<std::vector<F>> a,
+                                                std::vector<F> b) {
+  std::vector<std::vector<F>> columns;
+  columns.push_back(std::move(b));
+  PFQL_ASSIGN_OR_RETURN(
+      std::vector<std::vector<F>> x,
+      SolveLinearSystemFieldColumns<F>(std::move(a), std::move(columns)));
+  return std::move(x[0]);
 }
 
 }  // namespace pfql

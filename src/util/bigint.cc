@@ -1,13 +1,29 @@
 #include "util/bigint.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 
 namespace pfql {
 
 namespace {
+
 constexpr uint64_t kBase = 1ULL << 32;
+
+void TrimMagnitude(std::vector<uint32_t>* limbs) {
+  while (!limbs->empty() && limbs->back() == 0) limbs->pop_back();
+}
+
+// Value of a magnitude of at most two limbs.
+uint64_t LowWord(const std::vector<uint32_t>& limbs) {
+  uint64_t v = 0;
+  for (size_t i = limbs.size(); i-- > 0;) v = (v << 32) | limbs[i];
+  return v;
+}
+
 }  // namespace
 
 BigInt::BigInt(int64_t v) : negative_(v < 0) {
@@ -233,67 +249,117 @@ BigInt BigInt::operator*(const BigInt& other) const {
   return result;
 }
 
+void BigInt::DivModMagnitude(const std::vector<uint32_t>& a,
+                             const std::vector<uint32_t>& b,
+                             std::vector<uint32_t>* quotient,
+                             std::vector<uint32_t>* remainder) {
+  // Single-limb divisor: one hardware division per dividend limb.
+  if (b.size() == 1) {
+    const uint64_t d = b[0];
+    if (quotient != nullptr) quotient->assign(a.size(), 0);
+    uint64_t rem = 0;
+    for (size_t i = a.size(); i-- > 0;) {
+      const uint64_t cur = (rem << 32) | a[i];
+      if (quotient != nullptr) (*quotient)[i] = static_cast<uint32_t>(cur / d);
+      rem = cur % d;
+    }
+    remainder->clear();
+    if (rem != 0) remainder->push_back(static_cast<uint32_t>(rem));
+    if (quotient != nullptr) TrimMagnitude(quotient);
+    return;
+  }
+  // Knuth, TAOCP vol. 2, 4.3.1, Algorithm D. Normalise so the divisor's top
+  // limb has its high bit set; then each quotient limb estimated from the
+  // top two dividend limbs is at most one too big once corrected against
+  // the divisor's second limb, and one add-back repairs that case.
+  const size_t n = b.size();
+  const size_t m = a.size() - n;
+  const int shift = std::countl_zero(b.back());
+  std::vector<uint32_t> v(n);
+  std::vector<uint32_t> u(a.size() + 1);
+  if (shift == 0) {  // a shift by 32 - 0 bits would be undefined
+    std::copy(b.begin(), b.end(), v.begin());
+    std::copy(a.begin(), a.end(), u.begin());
+    u[a.size()] = 0;
+  } else {
+    for (size_t i = n - 1; i > 0; --i) {
+      v[i] = (b[i] << shift) | (b[i - 1] >> (32 - shift));
+    }
+    v[0] = b[0] << shift;
+    u[a.size()] = a.back() >> (32 - shift);
+    for (size_t i = a.size() - 1; i > 0; --i) {
+      u[i] = (a[i] << shift) | (a[i - 1] >> (32 - shift));
+    }
+    u[0] = a[0] << shift;
+  }
+  if (quotient != nullptr) quotient->assign(m + 1, 0);
+  const uint64_t v_top = v[n - 1];
+  const uint64_t v_next = v[n - 2];
+  for (size_t j = m + 1; j-- > 0;) {
+    const uint64_t top = (static_cast<uint64_t>(u[j + n]) << 32) | u[j + n - 1];
+    uint64_t qhat = top / v_top;
+    uint64_t rhat = top % v_top;
+    while (qhat >= kBase ||
+           qhat * v_next > ((rhat << 32) | u[j + n - 2])) {
+      --qhat;
+      rhat += v_top;
+      if (rhat >= kBase) break;
+    }
+    // u[j .. j+n] -= qhat * v.
+    uint64_t carry = 0;
+    int64_t borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t p = qhat * v[i] + carry;
+      carry = p >> 32;
+      const int64_t t = static_cast<int64_t>(u[i + j]) - borrow -
+                        static_cast<int64_t>(p & 0xffffffffULL);
+      u[i + j] = static_cast<uint32_t>(t);
+      borrow = t < 0 ? 1 : 0;
+    }
+    const int64_t t = static_cast<int64_t>(u[j + n]) - borrow -
+                      static_cast<int64_t>(carry);
+    u[j + n] = static_cast<uint32_t>(t);
+    if (t < 0) {
+      // qhat was one too big: add one divisor back.
+      --qhat;
+      uint64_t sum_carry = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t sum = static_cast<uint64_t>(u[i + j]) + v[i] + sum_carry;
+        u[i + j] = static_cast<uint32_t>(sum);
+        sum_carry = sum >> 32;
+      }
+      u[j + n] += static_cast<uint32_t>(sum_carry);
+    }
+    if (quotient != nullptr) (*quotient)[j] = static_cast<uint32_t>(qhat);
+  }
+  // The remainder is u[0 .. n-1], still shifted left by `shift`.
+  remainder->resize(n);
+  if (shift == 0) {
+    std::copy(u.begin(), u.begin() + n, remainder->begin());
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      (*remainder)[i] = (u[i] >> shift) | (u[i + 1] << (32 - shift));
+    }
+  }
+  TrimMagnitude(remainder);
+  if (quotient != nullptr) TrimMagnitude(quotient);
+}
+
 void BigInt::DivMod(const BigInt& dividend, const BigInt& divisor,
                     BigInt* quotient, BigInt* remainder) {
   assert(!divisor.IsZero() && "division by zero BigInt");
-  int cmp = CompareMagnitude(dividend.limbs_, divisor.limbs_);
-  if (cmp < 0) {
+  if (CompareMagnitude(dividend.limbs_, divisor.limbs_) < 0) {
     *quotient = BigInt();
     *remainder = dividend;
     return;
   }
-  // Single-limb fast path.
-  if (divisor.limbs_.size() == 1) {
-    const uint64_t d = divisor.limbs_[0];
-    std::vector<uint32_t> q(dividend.limbs_.size(), 0);
-    uint64_t rem = 0;
-    for (size_t i = dividend.limbs_.size(); i-- > 0;) {
-      uint64_t cur = (rem << 32) | dividend.limbs_[i];
-      q[i] = static_cast<uint32_t>(cur / d);
-      rem = cur % d;
-    }
-    BigInt qq;
-    qq.limbs_ = std::move(q);
-    qq.Trim();
-    qq.negative_ = !qq.limbs_.empty() &&
-                   (dividend.negative_ != divisor.negative_);
-    BigInt rr(rem, dividend.negative_);
-    *quotient = std::move(qq);
-    *remainder = std::move(rr);
-    return;
-  }
-  // General case: binary long division on the magnitude, MSB to LSB.
-  // O(bits * limbs) — adequate for the limb counts probability arithmetic
-  // produces (divisions are rare; most work is add/mul via Gcd).
-  BigInt rem;  // non-negative magnitude accumulator
-  const size_t bits = dividend.BitLength();
-  std::vector<uint32_t> q((bits + 31) / 32, 0);
-  BigInt divisor_mag = divisor.Abs();
-  for (size_t b = bits; b-- > 0;) {
-    // rem = rem * 2 + bit b of |dividend|
-    rem.limbs_ = AddMagnitude(rem.limbs_, rem.limbs_);
-    const uint32_t bit = (dividend.limbs_[b / 32] >> (b % 32)) & 1u;
-    if (bit) {
-      if (rem.limbs_.empty()) {
-        rem.limbs_.push_back(1);
-      } else {
-        rem.limbs_ = AddMagnitude(rem.limbs_, {1u});
-      }
-    }
-    if (CompareMagnitude(rem.limbs_, divisor_mag.limbs_) >= 0) {
-      rem.limbs_ = SubMagnitude(rem.limbs_, divisor_mag.limbs_);
-      q[b / 32] |= (1u << (b % 32));
-    }
-  }
-  BigInt qq;
-  qq.limbs_ = std::move(q);
-  qq.Trim();
+  BigInt qq, rr;
+  DivModMagnitude(dividend.limbs_, divisor.limbs_, &qq.limbs_, &rr.limbs_);
   qq.negative_ = !qq.limbs_.empty() &&
                  (dividend.negative_ != divisor.negative_);
-  rem.Trim();
-  rem.negative_ = !rem.limbs_.empty() && dividend.negative_;
+  rr.negative_ = !rr.limbs_.empty() && dividend.negative_;
   *quotient = std::move(qq);
-  *remainder = std::move(rem);
+  *remainder = std::move(rr);
 }
 
 BigInt BigInt::operator/(const BigInt& other) const {
@@ -311,10 +377,19 @@ BigInt BigInt::operator%(const BigInt& other) const {
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;
+  std::vector<uint32_t> r;
   while (!b.IsZero()) {
-    BigInt r = a % b;
-    a = std::move(b);
-    b = std::move(r);
+    if (a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
+      // Both fit in a machine word: finish there.
+      return BigInt(std::gcd(LowWord(a.limbs_), LowWord(b.limbs_)), false);
+    }
+    if (CompareMagnitude(a.limbs_, b.limbs_) < 0) {
+      std::swap(a.limbs_, b.limbs_);
+      continue;
+    }
+    DivModMagnitude(a.limbs_, b.limbs_, nullptr, &r);
+    std::swap(a.limbs_, b.limbs_);
+    std::swap(b.limbs_, r);
   }
   return a;
 }

@@ -99,6 +99,12 @@ class BigInt {
                                             const std::vector<uint32_t>& b);
   static std::vector<uint32_t> MulMagnitude(const std::vector<uint32_t>& a,
                                             const std::vector<uint32_t>& b);
+  // Requires |a| >= |b| > 0. Writes the trimmed quotient (skipped when
+  // `quotient` is null) and remainder magnitudes.
+  static void DivModMagnitude(const std::vector<uint32_t>& a,
+                              const std::vector<uint32_t>& b,
+                              std::vector<uint32_t>* quotient,
+                              std::vector<uint32_t>* remainder);
   void Trim();
 
   bool negative_;

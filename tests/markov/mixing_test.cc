@@ -78,5 +78,48 @@ TEST(TvMixingTest, BurnInBoundsAnyEventBias) {
   }
 }
 
+TEST(TvMixingTest, TransientStartMixesIntoTheBottomComponent) {
+  // Transient 0 enters the aperiodic bottom SCC {1, 2} w.p. 1/2 per step;
+  // the walk converges to that SCC's stationary distribution (1/3, 2/3),
+  // with zero mass left on the start state.
+  MarkovChain mc(3);
+  ASSERT_TRUE(mc.AddTransition(0, 0, BigRational(1, 2)).ok());
+  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1, 2)).ok());
+  ASSERT_TRUE(mc.AddTransition(1, 1, BigRational(1, 2)).ok());
+  ASSERT_TRUE(mc.AddTransition(1, 2, BigRational(1, 2)).ok());
+  ASSERT_TRUE(mc.AddTransition(2, 1, BigRational(1, 4)).ok());
+  ASSERT_TRUE(mc.AddTransition(2, 2, BigRational(3, 4)).ok());
+  ASSERT_FALSE(mc.IsErgodic());
+  const double eps = 0.01;
+  auto t = mc.TvMixingTimeFrom(0, eps);
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_GT(t.value(), 0u);
+  auto dist = mc.DistributionAfter({1.0, 0.0, 0.0}, t.value());
+  ASSERT_TRUE(dist.ok());
+  EXPECT_LT(MarkovChain::TotalVariation(*dist, {0.0, 1.0 / 3, 2.0 / 3}), eps);
+  // One step earlier the walk had not mixed yet.
+  auto before = mc.DistributionAfter({1.0, 0.0, 0.0}, t.value() - 1);
+  ASSERT_TRUE(before.ok());
+  EXPECT_GE(MarkovChain::TotalVariation(*before, {0.0, 1.0 / 3, 2.0 / 3}),
+            eps);
+}
+
+TEST(TvMixingTest, SeveralBottomsOrAPeriodicBottomFail) {
+  MarkovChain two_bottoms(3);
+  ASSERT_TRUE(two_bottoms.AddTransition(0, 1, BigRational(1, 2)).ok());
+  ASSERT_TRUE(two_bottoms.AddTransition(0, 2, BigRational(1, 2)).ok());
+  ASSERT_TRUE(two_bottoms.AddTransition(1, 1, BigRational(1)).ok());
+  ASSERT_TRUE(two_bottoms.AddTransition(2, 2, BigRational(1)).ok());
+  auto t = two_bottoms.TvMixingTimeFrom(0, 0.01);
+  EXPECT_EQ(t.status().code(), StatusCode::kFailedPrecondition);
+
+  MarkovChain periodic_bottom(3);
+  ASSERT_TRUE(periodic_bottom.AddTransition(0, 1, BigRational(1)).ok());
+  ASSERT_TRUE(periodic_bottom.AddTransition(1, 2, BigRational(1)).ok());
+  ASSERT_TRUE(periodic_bottom.AddTransition(2, 1, BigRational(1)).ok());
+  t = periodic_bottom.TvMixingTimeFrom(0, 0.01);
+  EXPECT_EQ(t.status().code(), StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace pfql

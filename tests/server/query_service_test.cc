@@ -171,6 +171,80 @@ TEST(QueryServiceTest, ForeverWithShortDeadlineReturnsStructuredTimeout) {
   EXPECT_TRUE(service.Call(CoinRequest(RequestKind::kExact)).status.ok());
 }
 
+// One chain per family of the benchmark's chain workload. Every chain
+// starts in a transient state (the initial instance has not applied the
+// kernel yet) and has one aperiodic bottom SCC.
+struct ChainFamily {
+  const char* name;
+  std::string program;
+  std::string data;
+  const char* event;
+  size_t compile_max_states;
+};
+
+constexpr char kWalkProgram[] =
+    "cur(0).\nstep(<K>, Y) :- one(K), cur(X), e(X, Y).\n"
+    "cur(Y) :- step(K, Y).\n";
+constexpr char kPickProgram[] = "pick(<K>, V) @W :- opts(K, V, W).\n";
+
+std::vector<ChainFamily> ProbeFamilies() {
+  const std::string one = "relation one(k) {\n  (0)\n}\n";
+  return {
+      // Lazy 3-cycle.
+      {"walk_cycle", kWalkProgram,
+       one + "relation e(x, y) {\n  (0, 0)\n  (0, 1)\n  (1, 1)\n  (1, 2)\n"
+             "  (2, 0)\n  (2, 2)\n}\n",
+       "cur(1)", size_t{1} << 12},
+      // Lazy 2x2 torus.
+      {"walk_torus", kWalkProgram,
+       one + "relation e(x, y) {\n  (0, 0)\n  (0, 1)\n  (0, 2)\n  (1, 0)\n"
+             "  (1, 1)\n  (1, 3)\n  (2, 0)\n  (2, 2)\n  (2, 3)\n  (3, 1)\n"
+             "  (3, 2)\n  (3, 3)\n}\n",
+       "cur(3)", size_t{1} << 12},
+      // Two keys redrawn over three weighted values each.
+      {"pick_dense", kPickProgram,
+       "relation opts(k, v, w) {\n  (0, 0, 2)\n  (0, 1, 5)\n  (0, 2, 3)\n"
+       "  (1, 0, 1)\n  (1, 1, 4)\n  (1, 2, 9)\n}\n",
+       "pick(0, 1)", size_t{1} << 12},
+      // Four keys over two values, sampled on the interpreted tier.
+      {"pick_interpreted", kPickProgram,
+       "relation opts(k, v, w) {\n  (0, 0, 7)\n  (0, 1, 3)\n  (1, 0, 2)\n"
+       "  (1, 1, 2)\n  (2, 0, 1)\n  (2, 1, 8)\n  (3, 0, 6)\n  (3, 1, 5)\n}\n",
+       "pick(0, 0)", 8},
+  };
+}
+
+TEST(QueryServiceTest, McmcAutoBurnInFromTransientStart) {
+  QueryService service;
+  for (const ChainFamily& family : ProbeFamilies()) {
+    Request forever;
+    forever.kind = RequestKind::kForever;
+    forever.program_text = family.program;
+    forever.data_text = family.data;
+    forever.event = family.event;
+    const Response exact = service.Call(forever);
+    ASSERT_TRUE(exact.status.ok()) << family.name << ": "
+                                   << exact.status.ToString();
+    const double truth = exact.result.Find("probability_double")->AsDouble();
+
+    Request mcmc = forever;
+    mcmc.kind = RequestKind::kMcmc;
+    mcmc.epsilon = 0.1;
+    mcmc.delta = 1e-4;
+    mcmc.compile_max_states = family.compile_max_states;
+    ASSERT_FALSE(mcmc.burn_in.has_value());  // "auto"
+    const Response sampled = service.Call(mcmc);
+    ASSERT_TRUE(sampled.status.ok()) << family.name << ": "
+                                     << sampled.status.ToString();
+    EXPECT_TRUE(sampled.result.Find("burn_in_measured")->AsBool())
+        << family.name;
+    EXPECT_GT(sampled.result.Find("burn_in")->AsInt(), 0) << family.name;
+    EXPECT_NEAR(sampled.result.Find("estimate")->AsDouble(), truth,
+                mcmc.epsilon)
+        << family.name;
+  }
+}
+
 TEST(QueryServiceTest, FailedRequestsAreNotCached) {
   QueryService service;
   Request request;
