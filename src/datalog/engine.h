@@ -11,9 +11,28 @@
 //    PTIME absolute approximation of Thm 4.3;
 //  * exact (full traversal of the computation tree, Prop 4.4) — worst-case
 //    exponential time but polynomial memory (a root-to-leaf path).
+//
+// The pseudo-code above is the specification; the evaluators run an
+// equivalent step planned once per (program, EDB), an InflationaryPlan:
+//  * every subtree of a rule body that reads only relations no rule writes
+//    is evaluated once and stored as a constant, and identity projections
+//    are dropped;
+//  * newVals is computed semi-naively. Bodies are conjunctions of atoms
+//    and comparisons, hence monotone, so after step t oldVals[r] equals
+//    the valuations of body(r) on state S_t, and
+//    newVals = vals(S_{t+1}) − vals(S_t) is exactly the set of valuations
+//    of S_{t+1} that use at least one tuple step t added. Each rule gets
+//    one body variant per IDB atom, reading that atom from the previous
+//    step's delta; the first step evaluates full bodies.
+// newVals is therefore the identical relation, repair-key sees the same
+// input and draws the same random numbers: paths, fixpoints and exact
+// distributions are seed-identical to the pseudo-code. docs/INTERNALS.md
+// §10 has the details.
 #ifndef PFQL_DATALOG_ENGINE_H_
 #define PFQL_DATALOG_ENGINE_H_
 
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "datalog/program.h"
@@ -27,13 +46,62 @@
 namespace pfql {
 namespace datalog {
 
-/// Sampling evaluator: runs one probabilistic computation path.
+/// The inflationary step of one program over one EDB, compiled once.
+/// Immutable after Make, so one plan is shared read-only by every sample,
+/// worker thread, scheduler quantum and exact traversal over that EDB.
+class InflationaryPlan {
+ public:
+  /// Tuples one step adds, one list per IDB predicate (in idb order).
+  using HeadTuples = std::vector<std::vector<Tuple>>;
+
+  static StatusOr<std::shared_ptr<const InflationaryPlan>> Make(
+      const Program& program, const Instance& edb);
+  ~InflationaryPlan();
+
+  /// Program::InitialInstance(edb): where every computation path starts.
+  const Instance& initial() const { return initial_; }
+  size_t idb_count() const { return idb_names_.size(); }
+
+  /// π_{X̄,Ȳ,P}(newVals[r]) for every rule r, on state `db` whose previous
+  /// step added `deltas` (one relation per IDB predicate); `deltas` null
+  /// means the first step. Returns false iff every rule's set is empty.
+  StatusOr<bool> NewValuations(const Instance& db,
+                               const std::vector<Relation>* deltas,
+                               std::vector<Relation>* fired) const;
+
+  bool IsProbabilistic(size_t rule) const;
+  const RepairKeySpec& Spec(size_t rule) const;
+
+  /// Appends the head tuples of `rule` for the chosen rows of its fired
+  /// relation to `heads`.
+  void AddHeads(size_t rule, const std::vector<Tuple>& chosen,
+                HeadTuples* heads) const;
+
+  /// Inserts `heads` into `db` and returns, per IDB predicate, the tuples
+  /// that were not there yet (the next step's deltas).
+  std::vector<Relation> Apply(HeadTuples heads, Instance* db) const;
+
+ private:
+  struct RulePlan;
+
+  InflationaryPlan();
+
+  Instance initial_;
+  std::vector<std::string> idb_names_;
+  std::map<std::string, size_t> delta_index_;  // delta name -> idb index
+  std::vector<RulePlan> rules_;
+};
+
+/// Sampling evaluator: runs one probabilistic computation path. Holds only
+/// the path's state; the compiled program is a shared InflationaryPlan.
 class InflationaryEngine {
  public:
-  /// Compiles rule bodies against the canonical evaluation instance built by
-  /// Program::InitialInstance(edb).
+  /// Plans `program` over `edb` and starts a path at the initial instance.
   static StatusOr<InflationaryEngine> Make(Program program,
                                            const Instance& edb);
+
+  /// Starts a path on an existing plan.
+  explicit InflationaryEngine(std::shared_ptr<const InflationaryPlan> plan);
 
   const Instance& database() const { return db_; }
   size_t steps_taken() const { return steps_; }
@@ -49,12 +117,9 @@ class InflationaryEngine {
   StatusOr<Instance> RunToFixpoint(Rng* rng, size_t max_steps = 1 << 20);
 
  private:
-  InflationaryEngine() = default;
-
-  Program program_;
-  std::vector<RaExpr::Ptr> body_exprs_;  // parallel to program_.rules()
+  std::shared_ptr<const InflationaryPlan> plan_;
   Instance db_;
-  std::vector<Relation> old_vals_;  // parallel to rules; schema = body vars
+  std::vector<Relation> deltas_;  // what the last step added, per IDB
   size_t steps_ = 0;
 };
 

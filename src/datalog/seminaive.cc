@@ -1,33 +1,9 @@
 #include "datalog/seminaive.h"
 
-#include <map>
-#include <vector>
-
-#include "datalog/body_eval.h"
-#include "ra/optimizer.h"
+#include "datalog/engine.h"
 
 namespace pfql {
 namespace datalog {
-
-namespace {
-
-std::string DeltaName(const std::string& pred) { return "__delta_" + pred; }
-
-// One compiled evaluation variant of a rule: the body expression with one
-// IDB atom redirected to its delta relation (or the plain body for rules
-// without IDB atoms / the initial round).
-struct RuleVariant {
-  RaExpr::Ptr body;
-  Schema body_schema;  // columns = body variables
-};
-
-StatusOr<Relation> EvalVariant(const RuleVariant& variant,
-                               const Instance& db) {
-  Rng unused(0);
-  return EvalSample(variant.body, db, &unused);
-}
-
-}  // namespace
 
 StatusOr<Instance> SeminaiveFixpoint(const Program& program,
                                      const Instance& edb,
@@ -37,97 +13,22 @@ StatusOr<Instance> SeminaiveFixpoint(const Program& program,
         "semi-naive evaluation requires a deterministic program; use the "
         "inflationary engine for probabilistic rules");
   }
-  PFQL_ASSIGN_OR_RETURN(Instance db, program.InitialInstance(edb));
-
-  // Schemas for compilation: real relations plus one delta per IDB
-  // predicate (same schema as the predicate).
-  std::map<std::string, Schema> schemas;
-  for (const auto& [name, rel] : db.relations()) {
-    schemas.emplace(name, rel.schema());
-  }
-  for (const auto& pred : program.idb_predicates()) {
-    schemas.emplace(DeltaName(pred), program.CanonicalSchema(pred));
-  }
-
-  // Compile: the full body (round 0), and one delta variant per IDB atom.
-  const auto& rules = program.rules();
-  std::vector<RuleVariant> full(rules.size());
-  std::vector<std::vector<RuleVariant>> delta_variants(rules.size());
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const Rule& rule = rules[r];
-    PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr body, CompileBody(rule, schemas));
-    full[r] = {Optimize(body, schemas), Schema(rule.BodyVariables())};
-    for (size_t a = 0; a < rule.body.size(); ++a) {
-      if (!program.idb_predicates().count(rule.body[a].predicate)) continue;
-      Rule redirected = rule;
-      redirected.body[a].predicate = DeltaName(rule.body[a].predicate);
-      PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr delta_body,
-                            CompileBody(redirected, schemas));
-      delta_variants[r].push_back(
-          {Optimize(delta_body, schemas), Schema(rule.BodyVariables())});
-    }
-  }
-
-  // Fires `variant` of rule r and collects genuinely new head tuples.
-  auto fire = [&](size_t r, const RuleVariant& variant,
-                  std::map<std::string, Relation>* new_deltas) -> Status {
-    const Rule& rule = rules[r];
-    PFQL_ASSIGN_OR_RETURN(Relation vals, EvalVariant(variant, db));
-    Relation* rel = db.FindMutable(rule.head.predicate);
-    std::vector<Tuple> fresh;
-    for (const auto& binding : vals.tuples()) {
-      PFQL_ASSIGN_OR_RETURN(
-          Tuple head, BuildHeadTuple(rule.head, variant.body_schema, binding));
-      if (!rel->Contains(head)) fresh.push_back(std::move(head));
-    }
-    if (!fresh.empty()) {
-      auto [it, _] = new_deltas->try_emplace(
-          rule.head.predicate, program.CanonicalSchema(rule.head.predicate));
-      it->second.InsertAll(std::move(fresh));
-    }
-    return Status::OK();
-  };
-
-  // Round 0: full bodies against the (empty-IDB) initial database.
-  std::map<std::string, Relation> new_deltas;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    PFQL_RETURN_NOT_OK(fire(r, full[r], &new_deltas));
-  }
-
-  size_t rounds = 0, derived = 0;
-  // Install deltas, iterate until no new tuples.
-  while (!new_deltas.empty()) {
-    ++rounds;
-    // Merge deltas into the full relations and publish them as
-    // __delta_<pred>; clear stale deltas for predicates without news.
-    for (const auto& pred : program.idb_predicates()) {
-      auto it = new_deltas.find(pred);
-      Relation delta = it == new_deltas.end()
-                           ? Relation(program.CanonicalSchema(pred))
-                           : std::move(it->second);
-      derived += delta.size();
-      Relation* rel = db.FindMutable(pred);
-      rel->InsertAll(delta.tuples());
-      db.Set(DeltaName(pred), std::move(delta));
-    }
-    new_deltas.clear();
-    for (size_t r = 0; r < rules.size(); ++r) {
-      for (const auto& variant : delta_variants[r]) {
-        PFQL_RETURN_NOT_OK(fire(r, variant, &new_deltas));
-      }
-    }
-  }
-
-  // Strip the internal delta relations before returning.
-  Instance out;
-  for (const auto& [name, rel] : db.relations()) {
-    if (name.rfind("__delta_", 0) != 0) out.Set(name, rel);
+  PFQL_ASSIGN_OR_RETURN(InflationaryEngine engine,
+                        InflationaryEngine::Make(program, edb));
+  const size_t edb_tuples = engine.database().TotalTuples();
+  Rng unused(0);  // deterministic rules never draw
+  size_t rounds = 0;
+  for (;;) {
+    const size_t before = engine.database().TotalTuples();
+    PFQL_ASSIGN_OR_RETURN(bool fired, engine.SampleStep(&unused));
+    if (!fired) break;
+    if (engine.database().TotalTuples() > before) ++rounds;
   }
   if (stats != nullptr) {
     stats->rounds = rounds;
-    stats->derived_tuples = derived;
+    stats->derived_tuples = engine.database().TotalTuples() - edb_tuples;
   }
-  return out;
+  return engine.database();
 }
 
 }  // namespace datalog

@@ -5,9 +5,12 @@
 // needed (sanity baselines, the classical part of mixed workloads) and as
 // the performance baseline in bench_datalog_engine.
 //
-// Probabilistic rules are rejected: their semantics depends on *when* a
-// valuation is first seen (Sec 3.3's newVals bookkeeping), which the
-// general inflationary engine (datalog/engine.h) implements.
+// It is the inflationary engine (datalog/engine.h) run on a deterministic
+// program: that engine already steps semi-naively, for probabilistic rules
+// too, since newVals is exactly the set of valuations that use a new
+// tuple. This entry point keeps the classical API and rejects programs
+// with probabilistic rules, whose fixpoint is a distribution rather than
+// one instance.
 #ifndef PFQL_DATALOG_SEMINAIVE_H_
 #define PFQL_DATALOG_SEMINAIVE_H_
 
@@ -18,6 +21,7 @@ namespace pfql {
 namespace datalog {
 
 struct SeminaiveStats {
+  /// Rounds that derived at least one new tuple.
   size_t rounds = 0;
   size_t derived_tuples = 0;
 };

@@ -92,11 +92,15 @@ struct WorkerTally {
   Status interruption;
 };
 
-void RunWorker(const datalog::Program& program, const QueryEvent& event,
-               size_t samples, Rng rng,
-               const std::function<StatusOr<Instance>(Rng*)>& draw_world,
-               const CancellationToken* cancel, bool allow_partial,
-               WorkerTally* tally) {
+using PlanPtr = std::shared_ptr<const datalog::InflationaryPlan>;
+
+// Yields the plan one sample's path runs on: the request's shared plan, or
+// a plan of a freshly drawn world.
+using PlanSource = std::function<StatusOr<PlanPtr>(Rng*)>;
+
+void RunWorker(const QueryEvent& event, size_t samples, Rng rng,
+               const PlanSource& draw_plan, const CancellationToken* cancel,
+               bool allow_partial, WorkerTally* tally) {
   auto interrupt = [&](Status why) {
     if (allow_partial) {
       tally->interruption = std::move(why);
@@ -116,31 +120,26 @@ void RunWorker(const datalog::Program& program, const QueryEvent& event,
       interrupt(fault::InjectedError(fault::points::kApproxSample));
       return;
     }
-    auto world = draw_world(&rng);
-    if (!world.ok()) {
-      tally->status = world.status();
+    auto plan = draw_plan(&rng);
+    if (!plan.ok()) {
+      tally->status = plan.status();
       return;
     }
-    auto engine = datalog::InflationaryEngine::Make(program, *world);
-    if (!engine.ok()) {
-      tally->status = engine.status();
-      return;
-    }
-    auto fixpoint = engine->RunToFixpoint(&rng);
+    datalog::InflationaryEngine engine(*std::move(plan));
+    auto fixpoint = engine.RunToFixpoint(&rng);
     if (!fixpoint.ok()) {
       tally->status = fixpoint.status();
       return;
     }
-    tally->steps += engine->steps_taken();
+    tally->steps += engine.steps_taken();
     if (event.Holds(*fixpoint)) ++tally->hits;
     ++tally->completed;
   }
 }
 
-StatusOr<ApproxResult> RunSamples(
-    const datalog::Program& program, const QueryEvent& event,
-    const ApproxParams& params, Rng* rng,
-    const std::function<StatusOr<Instance>(Rng*)>& draw_world) {
+StatusOr<ApproxResult> RunSamples(const QueryEvent& event,
+                                  const ApproxParams& params, Rng* rng,
+                                  const PlanSource& draw_plan) {
   ApproxResult result;
   result.samples_requested = params.BudgetedSamples();
   const size_t workers =
@@ -152,8 +151,8 @@ StatusOr<ApproxResult> RunSamples(
   const auto started = std::chrono::steady_clock::now();
   if (workers == 1) {
     trace::Span worker_span("approx.worker");
-    RunWorker(program, event, shares[0], rng->Fork(), draw_world,
-              params.cancel, params.allow_partial, &tallies[0]);
+    RunWorker(event, shares[0], rng->Fork(), draw_plan, params.cancel,
+              params.allow_partial, &tallies[0]);
   } else {
     // Sampler threads join the request's trace (one "approx.worker" span
     // each) by installing the spawning thread's context.
@@ -164,7 +163,7 @@ StatusOr<ApproxResult> RunSamples(
       pool.emplace_back([&, w, rng_fork = rng->Fork()]() mutable {
         trace::ScopedContext sc(ctx);
         trace::Span worker_span("approx.worker");
-        RunWorker(program, event, shares[w], std::move(rng_fork), draw_world,
+        RunWorker(event, shares[w], std::move(rng_fork), draw_plan,
                   params.cancel, params.allow_partial, &tallies[w]);
       });
     }
@@ -220,20 +219,26 @@ StatusOr<ApproxResult> ApproxInflationary(const datalog::Program& program,
                                           const QueryEvent& event,
                                           const ApproxParams& params,
                                           Rng* rng) {
-  return RunSamples(program, event, params, rng,
-                    [&](Rng*) -> StatusOr<Instance> { return edb; });
+  // One plan for the whole request, shared read-only by every worker.
+  PFQL_ASSIGN_OR_RETURN(PlanPtr plan,
+                        datalog::InflationaryPlan::Make(program, edb));
+  return RunSamples(event, params, rng,
+                    [&](Rng*) -> StatusOr<PlanPtr> { return plan; });
 }
 
 StatusOr<ApproxResult> ApproxInflationaryOverPC(
     const datalog::Program& program, const PCDatabase& pc,
     const Instance& extra_edb, const QueryEvent& event,
     const ApproxParams& params, Rng* rng) {
-  return RunSamples(program, event, params, rng,
-                    [&](Rng* r) -> StatusOr<Instance> {
-                      PFQL_ASSIGN_OR_RETURN(Instance world, pc.SampleWorld(r));
-                      PFQL_RETURN_NOT_OK(MergeInstances(extra_edb, &world));
-                      return world;
-                    });
+  // Each sample draws its own world, and the folded static side of a plan
+  // is that world's relations, so every sample plans its own world.
+  return RunSamples(
+      event, params, rng,
+      [&](Rng* r) -> StatusOr<PlanPtr> {
+        PFQL_ASSIGN_OR_RETURN(Instance world, pc.SampleWorld(r));
+        PFQL_RETURN_NOT_OK(MergeInstances(extra_edb, &world));
+        return datalog::InflationaryPlan::Make(program, world);
+      });
 }
 
 }  // namespace eval

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "datalog/engine.h"
 #include "eval/noninflationary.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -67,11 +66,14 @@ Status ResumableApprox::RunQuantum(size_t quantum,
   size_t done = 0;
   while (done < quantum && snap_.samples < snap_.budget) {
     if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
-    auto engine = datalog::InflationaryEngine::Make(*program_, *edb_);
-    if (!engine.ok()) return engine.status();
-    auto fixpoint = engine->RunToFixpoint(&rng_);
+    if (plan_ == nullptr) {
+      PFQL_ASSIGN_OR_RETURN(plan_,
+                            datalog::InflationaryPlan::Make(*program_, *edb_));
+    }
+    datalog::InflationaryEngine engine(plan_);
+    auto fixpoint = engine.RunToFixpoint(&rng_);
     if (!fixpoint.ok()) return fixpoint.status();
-    snap_.total_steps += engine->steps_taken();
+    snap_.total_steps += engine.steps_taken();
     if (event_.Holds(*fixpoint)) ++hits_;
     ++snap_.samples;
     ++done;

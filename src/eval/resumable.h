@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "datalog/engine.h"
 #include "datalog/program.h"
 #include "eval/backend.h"
 #include "lang/interpretation.h"
@@ -102,6 +103,8 @@ class ResumableApprox : public ResumableSampler {
   const double delta_;
   Rng rng_;
   size_t hits_ = 0;
+  /// Planned on the first quantum; every later quantum reuses it.
+  std::shared_ptr<const datalog::InflationaryPlan> plan_;
 };
 
 // ---- Persistent-chain MCMC sampler, one chain step per unit ------------

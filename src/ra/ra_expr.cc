@@ -264,37 +264,84 @@ StatusOr<Distribution<Relation>> EvalExact(const RaExpr::Ptr& expr,
   return Status::Internal("corrupt RaExpr");
 }
 
-StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
-                              const Instance& instance, Rng* rng) {
-  if (expr == nullptr) return Status::InvalidArgument("null RaExpr");
-  const RaExpr& e = *expr;
+namespace {
+
+// Evaluates `e` into `*out`, which points either into the input (Base), at
+// the node's literal (Const), or at `*scratch` holding a computed result.
+Status EvalSampleInto(const RaExpr& e, const RelationLookup& lookup, Rng* rng,
+                      Relation* scratch, const Relation** out) {
   switch (e.kind()) {
-    case RaExpr::Kind::kBase:
-      return instance.Get(e.relation_name());
+    case RaExpr::Kind::kBase: {
+      *out = lookup(e.relation_name());
+      if (*out == nullptr) {
+        return Status::NotFound("relation '" + e.relation_name() +
+                                "' not in instance");
+      }
+      return Status::OK();
+    }
     case RaExpr::Kind::kConst:
-      return e.const_relation();
+      *out = &e.const_relation();
+      return Status::OK();
     case RaExpr::Kind::kSelect:
     case RaExpr::Kind::kProject:
     case RaExpr::Kind::kRename:
     case RaExpr::Kind::kExtend: {
-      PFQL_ASSIGN_OR_RETURN(Relation child, EvalSample(e.left(), instance, rng));
-      return ApplyUnary(e, child);
+      Relation child_scratch;
+      const Relation* child = nullptr;
+      PFQL_RETURN_NOT_OK(
+          EvalSampleInto(*e.left(), lookup, rng, &child_scratch, &child));
+      PFQL_ASSIGN_OR_RETURN(*scratch, ApplyUnary(e, *child));
+      break;
     }
     case RaExpr::Kind::kJoin:
     case RaExpr::Kind::kProduct:
     case RaExpr::Kind::kUnion:
     case RaExpr::Kind::kDifference:
     case RaExpr::Kind::kIntersect: {
-      PFQL_ASSIGN_OR_RETURN(Relation a, EvalSample(e.left(), instance, rng));
-      PFQL_ASSIGN_OR_RETURN(Relation b, EvalSample(e.right(), instance, rng));
-      return ApplyBinary(e, a, b);
+      Relation a_scratch, b_scratch;
+      const Relation* a = nullptr;
+      const Relation* b = nullptr;
+      PFQL_RETURN_NOT_OK(
+          EvalSampleInto(*e.left(), lookup, rng, &a_scratch, &a));
+      PFQL_RETURN_NOT_OK(
+          EvalSampleInto(*e.right(), lookup, rng, &b_scratch, &b));
+      PFQL_ASSIGN_OR_RETURN(*scratch, ApplyBinary(e, *a, *b));
+      break;
     }
     case RaExpr::Kind::kRepairKey: {
-      PFQL_ASSIGN_OR_RETURN(Relation child, EvalSample(e.left(), instance, rng));
-      return RepairKeySample(child, e.repair_spec(), rng);
+      Relation child_scratch;
+      const Relation* child = nullptr;
+      PFQL_RETURN_NOT_OK(
+          EvalSampleInto(*e.left(), lookup, rng, &child_scratch, &child));
+      PFQL_ASSIGN_OR_RETURN(*scratch,
+                            RepairKeySample(*child, e.repair_spec(), rng));
+      break;
     }
+    default:
+      return Status::Internal("corrupt RaExpr");
   }
-  return Status::Internal("corrupt RaExpr");
+  *out = scratch;
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
+                              const RelationLookup& lookup, Rng* rng) {
+  if (expr == nullptr) return Status::InvalidArgument("null RaExpr");
+  Relation scratch;
+  const Relation* out = nullptr;
+  PFQL_RETURN_NOT_OK(EvalSampleInto(*expr, lookup, rng, &scratch, &out));
+  if (out == &scratch) return scratch;
+  return *out;
+}
+
+StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
+                              const Instance& instance, Rng* rng) {
+  return EvalSample(
+      expr,
+      [&instance](const std::string& name) { return instance.Find(name); },
+      rng);
 }
 
 StatusOr<Schema> InferSchema(const RaExpr::Ptr& expr,

@@ -10,6 +10,7 @@
 #ifndef PFQL_RA_RA_EXPR_H_
 #define PFQL_RA_RA_EXPR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -111,9 +112,18 @@ StatusOr<Distribution<Relation>> EvalExact(
     const ExactEvalOptions& options = {});
 
 /// Samples one possible world of `expr` on `instance` (each repair-key node
-/// draws one repair).
+/// draws one repair). Base and Const leaves are read in place, not copied;
+/// only the root is materialized.
 StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
                               const Instance& instance, Rng* rng);
+
+/// Resolves a base relation name to the relation it denotes, or nullptr.
+using RelationLookup = std::function<const Relation*(const std::string&)>;
+
+/// EvalSample over relations found through `lookup` instead of one
+/// instance (e.g. a state plus side relations that are not part of it).
+StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
+                              const RelationLookup& lookup, Rng* rng);
 
 /// Infers the output schema given the schemas of base relations; also
 /// validates column references. `schemas` maps relation name to schema.

@@ -53,23 +53,32 @@ StatusOr<Relation> NaturalJoin(const Relation& a, const Relation& b) {
   for (size_t i = 0; i < b.schema().size(); ++i) {
     if (!a.schema().Contains(b.schema().column(i))) b_rest.push_back(i);
   }
+  auto joined = [&](const Tuple& ta, const Tuple& tb) {
+    Tuple out = ta;
+    for (size_t i : b_rest) out.Append(tb[i]);
+    return out;
+  };
 
-  // Hash the build side on the key tuple itself, so each build tuple is
-  // projected exactly once and probes need no collision re-projection.
+  // Hash the smaller side on the key tuple itself, so each build tuple is
+  // projected exactly once, and probe with the larger. Seal() puts the
+  // output in canonical order, so the choice of side never shows.
+  const bool build_a = a.size() < b.size();
+  const Relation& build = build_a ? a : b;
+  const Relation& probe = build_a ? b : a;
+  const std::vector<size_t>& build_key = build_a ? a_key : b_key;
+  const std::vector<size_t>& probe_key = build_a ? b_key : a_key;
   std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> index;
-  index.reserve(b.size());
-  for (const auto& t : b.tuples()) {
-    index[t.Project(b_key)].push_back(&t);
+  index.reserve(build.size());
+  for (const auto& t : build.tuples()) {
+    index[t.Project(build_key)].push_back(&t);
   }
 
   RelationBuilder out(a.schema().JoinWith(b.schema()));
-  for (const auto& ta : a.tuples()) {
-    auto it = index.find(ta.Project(a_key));
+  for (const auto& tp : probe.tuples()) {
+    auto it = index.find(tp.Project(probe_key));
     if (it == index.end()) continue;
-    for (const Tuple* tb : it->second) {
-      Tuple joined = ta;
-      for (size_t i : b_rest) joined.Append((*tb)[i]);
-      out.Add(std::move(joined));
+    for (const Tuple* tm : it->second) {
+      out.Add(build_a ? joined(*tm, tp) : joined(tp, *tm));
     }
   }
   return out.Seal();

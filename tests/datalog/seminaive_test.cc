@@ -38,6 +38,26 @@ TEST(SeminaiveTest, TransitiveClosureOfLine) {
   EXPECT_EQ(stats.derived_tuples, 15u);
 }
 
+TEST(SeminaiveTest, PinnedStatsOnLine) {
+  // One round per path length 2..5 plus the round that installs the
+  // length-1 paths; pinned from the dedicated delta loop this evaluator
+  // used to carry.
+  SeminaiveStats stats;
+  ASSERT_TRUE(SeminaiveFixpoint(TransitiveClosure(), LineEdb(6), &stats).ok());
+  EXPECT_EQ(stats.rounds, 5u);
+  EXPECT_EQ(stats.derived_tuples, 15u);
+
+  auto facts = ParseProgram(R"(
+    start(a).
+    start(b).
+    copy(X) :- start(X).
+  )");
+  ASSERT_TRUE(facts.ok());
+  ASSERT_TRUE(SeminaiveFixpoint(*facts, Instance{}, &stats).ok());
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(stats.derived_tuples, 4u);
+}
+
 TEST(SeminaiveTest, MatchesInflationaryEngineOnRandomGraphs) {
   Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {

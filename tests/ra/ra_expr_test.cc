@@ -26,6 +26,27 @@ TEST(RaExprTest, BaseReadsRelation) {
   EXPECT_FALSE(EvalExact(RaExpr::Base("zzz"), GraphInstance()).ok());
 }
 
+TEST(RaExprTest, EvalSampleThroughLookup) {
+  // A lookup can serve relations that are not in any one instance; leaves
+  // are read in place, and a missing name is NotFound as with an instance.
+  const Instance db = GraphInstance();
+  Relation side(Schema({"i"}));
+  side.Insert(Tuple{Value(2)});
+  const RelationLookup lookup = [&](const std::string& name) {
+    return name == "side" ? &side : db.Find(name);
+  };
+  Rng rng(1);
+  auto joined = EvalSample(
+      RaExpr::Join(RaExpr::Base("e"), RaExpr::Base("side")), lookup, &rng);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->size(), 1u);
+  auto leaf = EvalSample(RaExpr::Base("side"), lookup, &rng);
+  ASSERT_TRUE(leaf.ok());
+  EXPECT_EQ(*leaf, side);
+  auto missing = EvalSample(RaExpr::Base("zzz"), lookup, &rng);
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
 TEST(RaExprTest, DeterministicPipelineHasSingleWorld) {
   // project_j(select_{i=1}(e))
   auto expr = RaExpr::Project(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace pfql {
 namespace {
 
@@ -87,6 +89,31 @@ TEST(AlgebraTest, NaturalJoinOnSharedColumn) {
   EXPECT_EQ(out->size(), 3u);
   EXPECT_TRUE(out->Contains(Tuple{Value(1), Value(2), Value("red")}));
   EXPECT_TRUE(out->Contains(Tuple{Value(2), Value(3), Value("blue")}));
+}
+
+TEST(AlgebraTest, NaturalJoinHashesEitherSideToTheSameResult) {
+  // The smaller input is hashed; the output columns and canonical order
+  // must not depend on which side that is.
+  Relation small(Schema({"j", "color"}));
+  small.Insert(Tuple{Value(3), Value("blue")});
+  Relation large(Schema({"j", "color"}));
+  for (int64_t j = 0; j < 6; ++j) {
+    large.Insert(Tuple{Value(j), Value(j % 2 == 0 ? "red" : "blue")});
+  }
+  auto a = NaturalJoin(Edges(), small);
+  auto b = NaturalJoin(Edges(), large);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->schema(), Schema({"i", "j", "color"}));
+  EXPECT_EQ(b->schema(), Schema({"i", "j", "color"}));
+  EXPECT_EQ(a->tuples(),
+            std::vector<Tuple>({Tuple{Value(1), Value(3), Value("blue")},
+                                Tuple{Value(2), Value(3), Value("blue")}}));
+  EXPECT_TRUE(b->Contains(Tuple{Value(2), Value(3), Value("blue")}));
+  EXPECT_TRUE(std::is_sorted(b->tuples().begin(), b->tuples().end()));
+  auto swapped = NaturalJoin(large, Edges());
+  ASSERT_TRUE(swapped.ok());
+  EXPECT_EQ(swapped->schema(), Schema({"j", "color", "i"}));
+  EXPECT_EQ(swapped->size(), b->size());
 }
 
 TEST(AlgebraTest, NaturalJoinTwoSharedColumns) {

@@ -69,8 +69,11 @@ Json SubscribeRequest(uint64_t seed) {
       .Set("program_text", kCoinProgram)
       .Set("data_text", kCoinData)
       .Set("event", "flip(0, 1)")
-      // Tight enough that the stream outlives the kill window, but with a
-      // hard sample cap so four streams cannot monopolize a small machine.
+      // Tight enough that the stream is usually still running when the
+      // kill lands (the first load replies, tens of milliseconds in), but
+      // with a hard sample cap so four streams cannot monopolize a small
+      // machine. A stream that completes first still passes the silence
+      // check below on its buffered pushes.
       .Set("epsilon", 1e-3)
       .Set("seed", static_cast<int64_t>(seed))
       .Set("max_samples", static_cast<int64_t>(200000));
@@ -165,8 +168,14 @@ TEST(RouterChaosTest, KillNineMidLoadIsInvisibleToRetryingClients) {
     });
   }
 
-  // Let load build, then kill -9 one live worker out from under it.
-  std::this_thread::sleep_for(milliseconds(200));
+  // Kill on load progress, not on wall time: once the first replies are
+  // back every client is mid-run with requests in flight, however fast
+  // the fleet answers them.
+  const auto load_deadline = steady_clock::now() + std::chrono::seconds(15);
+  while (completed.load() < 8 && steady_clock::now() < load_deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_LT(completed.load(), 8 * 25) << "load finished before the kill";
   int64_t victim_pid = 0;
   for (int attempt = 0; attempt < 20 && victim_pid == 0; ++attempt) {
     Json stats = RouterStats(port);
@@ -209,9 +218,17 @@ TEST(RouterChaosTest, KillNineMidLoadIsInvisibleToRetryingClients) {
                                       << " went silent after the kill";
   }
 
-  // The supervisor restarts the dead worker within its backoff budget.
+  // The supervisor notices the death and restarts the dead worker within
+  // its backoff budget. Live == 3 alone can be read before the supervisor
+  // has even seen the kill, so wait for the restart first.
+  const auto restart_deadline = steady_clock::now() + std::chrono::seconds(15);
+  int64_t restarts = SumRestarts(RouterStats(port));
+  while (restarts < 1 && steady_clock::now() < restart_deadline) {
+    std::this_thread::sleep_for(milliseconds(50));
+    restarts = SumRestarts(RouterStats(port));
+  }
+  EXPECT_GE(restarts, 1);
   EXPECT_TRUE(WaitForLive(port, 3, std::chrono::seconds(15)));
-  EXPECT_GE(SumRestarts(RouterStats(port)), 1);
   router.Stop();
 }
 
