@@ -3,7 +3,7 @@
 // contention.
 //   (a) interner: interned-states/sec at 1 and N threads — the striped
 //       ConcurrentInterner vs the faithful mutex baseline (a global
-//       std::mutex around the sequential InstanceInterner), on a
+//       std::mutex around a sequential open-addressing interner), on a
 //       read-mostly stream (dedup hits dominate, as in wave BFS re-visits)
 //       with a fresh-instance tail that keeps the grow path live.
 //   (b) cache: probe (hit-path) throughput with N reader threads while one
@@ -37,7 +37,6 @@
 
 #include "bench/bench_util.h"
 #include "markov/concurrent_interner.h"
-#include "markov/instance_interner.h"
 #include "server/result_cache.h"
 #include "util/epoch.h"
 #include "util/json.h"
@@ -60,21 +59,61 @@ Instance KeyInstance(uint64_t k) {
   return db;
 }
 
-// The pre-PR10 interning discipline: one mutex serializes every probe.
+// The pre-PR10 interning discipline: one mutex serializes every probe of
+// a sequential interner — an open-addressing table of (structural hash,
+// dense id) slots with linear probing, a power-of-two size doubled past
+// 3/4 load, and full equality checked only on a hash match.
 class MutexInterner {
  public:
+  static constexpr size_t kNotFound = SIZE_MAX;
+
   std::pair<size_t, bool> Intern(Instance instance) {
     std::lock_guard<std::mutex> lock(mu_);
-    return interner_.Intern(std::move(instance), &store_);
+    if ((store_.size() + 1) * 4 > slots_.size() * 3) Grow();
+    const size_t hash = instance.Hash();
+    size_t i = Probe(instance, hash);
+    if (slots_[i].id != kNotFound) return {slots_[i].id, false};
+    const size_t id = store_.size();
+    slots_[i] = {hash, id};
+    store_.push_back(std::move(instance));
+    return {id, true};
   }
   size_t Find(const Instance& instance) {
     std::lock_guard<std::mutex> lock(mu_);
-    return interner_.Find(instance, store_);
+    return slots_[Probe(instance, instance.Hash())].id;
   }
 
  private:
+  struct Slot {
+    size_t hash = 0;
+    size_t id = kNotFound;  // kNotFound marks an empty slot
+  };
+
+  // The slot holding `instance`, or the empty slot ending its probe chain.
+  size_t Probe(const Instance& instance, size_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i].id != kNotFound &&
+           !(slots_[i].hash == hash && store_[slots_[i].id] == instance)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.id == kNotFound) continue;
+      size_t i = s.hash & mask;
+      while (slots_[i].id != kNotFound) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
   std::mutex mu_;
-  InstanceInterner interner_;
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
   std::vector<Instance> store_;
 };
 

@@ -2,7 +2,9 @@
 //  * exact evaluation by materializing the Markov chain of database states
 //    and solving for stationary / absorption structure (Prop 5.4, Thm 5.5);
 //  * randomized absolute approximation by MCMC sampling with a burn-in of
-//    one mixing time per sample (Thm 5.6).
+//    one mixing time per sample (Thm 5.6). McmcForever drives one
+//    ResumableMcmcRestart per worker to budget (eval/resumable.h), on the
+//    interpreted or the compiled tier as ResolveBackend picks.
 #ifndef PFQL_EVAL_NONINFLATIONARY_H_
 #define PFQL_EVAL_NONINFLATIONARY_H_
 
@@ -98,12 +100,6 @@ struct McmcResult {
 StatusOr<McmcResult> McmcForever(const ForeverQuery& query,
                                  const Instance& initial,
                                  const McmcParams& params, Rng* rng);
-
-/// Decorates a compile failure when backend=compiled was forced: keeps the
-/// cause's status code (so ResourceExhausted stays actionable) and prefixes
-/// a PFQL-E060 message naming the knob to turn. Shared by the MCMC and
-/// trajectory samplers.
-Status ForcedCompileError(const Status& cause);
 
 /// Convenience: measures the mixing time t(ε) of the induced chain from the
 /// initial state by explicit state-space construction (only feasible for

@@ -1,23 +1,23 @@
 #include "eval/resumable.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
-#include "eval/noninflationary.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace pfql {
 namespace eval {
 
-namespace {
-
-// Hoeffding count m = ⌈ln(2/δ)/(2ε²)⌉ (same constant as ApproxParams /
-// McmcParams::SampleCount).
 size_t HoeffdingCount(double epsilon, double delta) {
   const double m = std::log(2.0 / delta) / (2.0 * epsilon * epsilon);
   return static_cast<size_t>(std::ceil(m));
 }
+
+namespace {
 
 // Two-sided Hoeffding halfwidth at confidence 1-δ after k iid samples.
 double HoeffdingHalfwidth(double delta, size_t k) {
@@ -31,58 +31,138 @@ double HoeffdingHalfwidth(double delta, size_t k) {
 // an inverse-normal table.
 double SubGaussianZ(double delta) { return std::sqrt(2.0 * std::log(2.0 / delta)); }
 
-void CountSchedulerSamples(const char* kind, size_t n) {
-  if (n == 0) return;
-  auto& registry = metrics::MetricRegistry::Instance();
-  std::string labels = std::string("kind=\"") + kind + "\"";
-  registry.GetCounter("pfql_sched_samples_total", labels)->Increment(n);
+// The iid estimate of approx and restart mcmc: the event frequency.
+void RefreshIid(double delta, SamplerSnapshot* snap) {
+  snap->estimate = snap->samples == 0
+                       ? 0.0
+                       : static_cast<double>(snap->hits) /
+                             static_cast<double>(snap->samples);
+  snap->ci_halfwidth = HoeffdingHalfwidth(delta, snap->samples);
+}
+
+std::vector<uint8_t> EventIndicator(const CompiledSpace& compiled,
+                                    const QueryEvent& event) {
+  const std::vector<bool> indicator = compiled.space.EventStates(event);
+  return std::vector<uint8_t>(indicator.begin(), indicator.end());
 }
 
 }  // namespace
 
+StatusOr<std::vector<uint8_t>> EventIndicator(const CompiledSpace& compiled,
+                                              const EventExpr& event) {
+  const std::vector<Instance>& states = compiled.space.states;
+  std::vector<uint8_t> indicator(states.size(), 0);
+  for (size_t s = 0; s < states.size(); ++s) {
+    PFQL_ASSIGN_OR_RETURN(bool holds, event.Holds(states[s]));
+    indicator[s] = holds ? 1 : 0;
+  }
+  return indicator;
+}
+
 // ---- ResumableApprox ---------------------------------------------------
+
+ResumableApprox::ResumableApprox(PlanSource plan_source, QueryEvent event,
+                                 size_t budget, double delta, Rng rng)
+    : plan_source_(std::move(plan_source)),
+      event_(std::move(event)),
+      delta_(delta),
+      rng_(rng) {
+  snap_.budget = budget;
+}
 
 ResumableApprox::ResumableApprox(
     std::shared_ptr<const datalog::Program> program,
     std::shared_ptr<const Instance> edb, QueryEvent event,
     const ResumableApproxOptions& options)
-    : program_(std::move(program)),
-      edb_(std::move(edb)),
-      event_(std::move(event)),
-      delta_(options.delta),
-      rng_(options.seed) {
-  snap_.budget = options.max_samples > 0
-                     ? options.max_samples
-                     : HoeffdingCount(options.epsilon, options.delta);
-}
+    : ResumableApprox(
+          [program = std::move(program), edb = std::move(edb),
+           plan = PlanPtr()](Rng*) mutable -> StatusOr<PlanPtr> {
+            if (plan == nullptr) {
+              PFQL_ASSIGN_OR_RETURN(
+                  plan, datalog::InflationaryPlan::Make(*program, *edb));
+            }
+            return plan;
+          },
+          std::move(event),
+          options.max_samples > 0
+              ? options.max_samples
+              : HoeffdingCount(options.epsilon, options.delta),
+          options.delta, Rng(options.seed)) {}
 
 Status ResumableApprox::RunQuantum(size_t quantum,
                                    const CancellationToken* cancel) {
-  // One fault check per quantum (the scheduler's wave granularity); a fire
-  // surfaces as an error completion on every fused subscriber.
-  if (fault::InjectFault(fault::points::kApproxSample)) {
-    return fault::InjectedError(fault::points::kApproxSample);
-  }
   size_t done = 0;
   while (done < quantum && snap_.samples < snap_.budget) {
     if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
-    if (plan_ == nullptr) {
-      PFQL_ASSIGN_OR_RETURN(plan_,
-                            datalog::InflationaryPlan::Make(*program_, *edb_));
-    }
-    datalog::InflationaryEngine engine(plan_);
+    PFQL_ASSIGN_OR_RETURN(PlanPtr plan, plan_source_(&rng_));
+    datalog::InflationaryEngine engine(std::move(plan));
     auto fixpoint = engine.RunToFixpoint(&rng_);
     if (!fixpoint.ok()) return fixpoint.status();
     snap_.total_steps += engine.steps_taken();
-    if (event_.Holds(*fixpoint)) ++hits_;
+    if (event_.Holds(*fixpoint)) ++snap_.hits;
     ++snap_.samples;
     ++done;
   }
-  snap_.estimate = snap_.samples == 0 ? 0.0
-                                      : static_cast<double>(hits_) /
-                                            static_cast<double>(snap_.samples);
-  snap_.ci_halfwidth = HoeffdingHalfwidth(delta_, snap_.samples);
-  CountSchedulerSamples("approx", done);
+  RefreshIid(delta_, &snap_);
+  return Status::OK();
+}
+
+// ---- ResumableMcmcRestart ----------------------------------------------
+
+ResumableMcmcRestart::ResumableMcmcRestart(
+    const ForeverQuery& query, const Instance& initial,
+    std::shared_ptr<const CompiledSpace> compiled, size_t burn_in,
+    size_t budget, double delta, Rng rng)
+    : query_(query),
+      initial_(initial),
+      compiled_(std::move(compiled)),
+      burn_in_(burn_in),
+      delta_(delta),
+      rng_(rng) {
+  snap_.budget = budget;
+  if (compiled_ != nullptr) {
+    event_states_ = EventIndicator(*compiled_, query_.event);
+    snap_.backend = "compiled";
+  } else {
+    snap_.backend = "interpreted";
+  }
+}
+
+Status ResumableMcmcRestart::RunQuantum(size_t quantum,
+                                        const CancellationToken* cancel) {
+  size_t done = 0;
+  if (compiled_ != nullptr) {
+    // Samples advance as a batch of walkers, all restarted at the initial
+    // state (id 0); a batch cut short by a deadline counts none of them.
+    while (done < quantum && snap_.samples < snap_.budget) {
+      const size_t batch = std::min(
+          {kChunk, quantum - done, snap_.budget - snap_.samples});
+      walkers_.assign(batch, 0);
+      PFQL_RETURN_NOT_OK(
+          compiled_->chain.StepBatch(&walkers_, burn_in_, &rng_, cancel));
+      for (uint32_t w : walkers_) {
+        if (event_states_[w] != 0) ++snap_.hits;
+      }
+      snap_.samples += batch;
+      snap_.total_steps += batch * burn_in_;
+      done += batch;
+    }
+  } else {
+    poller_.Rebind(cancel);
+    while (done < quantum && snap_.samples < snap_.budget) {
+      // A sample interrupted mid-burn-in never counts.
+      Instance state = initial_;
+      for (size_t t = 0; t < burn_in_; ++t) {
+        PFQL_RETURN_NOT_OK(poller_.Tick());
+        PFQL_ASSIGN_OR_RETURN(state, query_.kernel.ApplySample(state, &rng_));
+      }
+      snap_.total_steps += burn_in_;
+      if (query_.event.Holds(state)) ++snap_.hits;
+      ++snap_.samples;
+      ++done;
+    }
+  }
+  RefreshIid(delta_, &snap_);
   return Status::OK();
 }
 
@@ -97,35 +177,24 @@ ResumableMcmcChains::ResumableMcmcChains(Interpretation kernel,
       options_(options),
       master_rng_(options.seed) {
   const size_t chains = std::max<size_t>(2, options_.num_chains);
-  const size_t recording =
-      options_.max_samples > 0
-          ? options_.max_samples
-          : 4 * HoeffdingCount(options_.epsilon, options_.delta) +
-                chains * options_.burn_in;
-  snap_.budget = recording;
+  snap_.budget = options_.max_samples > 0
+                     ? options_.max_samples
+                     : 4 * HoeffdingCount(options_.epsilon, options_.delta) +
+                           chains * options_.burn_in;
 }
 
 Status ResumableMcmcChains::Initialize(const CancellationToken* cancel) {
   const size_t chains = std::max<size_t>(2, options_.num_chains);
-  if (options_.backend != Backend::kInterpreted) {
-    CompileOptions copts;
-    copts.max_states = options_.compile_max_states;
-    copts.cancel = cancel;
-    auto compiled = GetOrCompile(kernel_, initial_, copts);
-    if (compiled.ok()) {
-      compiled_ = *compiled;
-      const std::vector<bool> indicator =
-          compiled_->space.EventStates(event_);
-      event_states_.assign(indicator.begin(), indicator.end());
-      state_ids_.assign(chains, 0);  // state 0 is the initial instance
-      snap_.backend = "compiled";
-    } else if (options_.backend == Backend::kCompiled) {
-      return ForcedCompileError(compiled.status());
-    } else if (compiled.status().code() != StatusCode::kResourceExhausted) {
-      return compiled.status();
-    }
-  }
-  if (compiled_ == nullptr) {
+  CompileOptions copts;
+  copts.max_states = options_.compile_max_states;
+  copts.cancel = cancel;
+  PFQL_ASSIGN_OR_RETURN(
+      compiled_, ResolveBackend(kernel_, initial_, options_.backend, copts));
+  if (compiled_ != nullptr) {
+    event_states_ = EventIndicator(*compiled_, event_);
+    state_ids_.assign(chains, 0);  // state 0 is the initial instance
+    snap_.backend = "compiled";
+  } else {
     state_instances_.assign(chains, initial_);
     snap_.backend = "interpreted";
   }
@@ -161,9 +230,6 @@ Status ResumableMcmcChains::StepChain(size_t c) {
 
 Status ResumableMcmcChains::RunQuantum(size_t quantum,
                                        const CancellationToken* cancel) {
-  if (fault::InjectFault(fault::points::kMcmcSample)) {
-    return fault::InjectedError(fault::points::kMcmcSample);
-  }
   if (!initialized_) PFQL_RETURN_NOT_OK(Initialize(cancel));
   const size_t chains = stats_.size();
   CancelPoller poller(cancel);
@@ -193,7 +259,6 @@ Status ResumableMcmcChains::RunQuantum(size_t quantum,
     }
   }
   RefreshSnapshot();
-  CountSchedulerSamples("mcmc", done);
   return Status::OK();
 }
 
@@ -214,36 +279,35 @@ void ResumableMcmcChains::RefreshSnapshot() {
 // ---- ResumableTrajectory -----------------------------------------------
 
 ResumableTrajectory::ResumableTrajectory(
-    Interpretation kernel, Instance initial, QueryEvent event,
-    const ResumableTrajectoryOptions& options)
+    Interpretation kernel, Instance initial, EventExpr::Ptr event,
+    const ResumableTrajectoryOptions& options, Rng rng)
     : kernel_(std::move(kernel)),
       initial_(std::move(initial)),
       event_(std::move(event)),
       options_(options),
-      rng_(options.seed) {
+      discard_(static_cast<size_t>(options.discard_fraction *
+                                   static_cast<double>(options.steps))),
+      rng_(rng) {
   snap_.budget = options_.steps * options_.runs;
 }
 
+ResumableTrajectory::ResumableTrajectory(
+    Interpretation kernel, Instance initial, QueryEvent event,
+    const ResumableTrajectoryOptions& options)
+    : ResumableTrajectory(std::move(kernel), std::move(initial),
+                          EventExpr::From(event), options,
+                          Rng(options.seed)) {}
+
 Status ResumableTrajectory::Initialize(const CancellationToken* cancel) {
-  if (options_.backend != Backend::kInterpreted) {
-    CompileOptions copts;
-    copts.max_states = options_.compile_max_states;
-    copts.cancel = cancel;
-    auto compiled = GetOrCompile(kernel_, initial_, copts);
-    if (compiled.ok()) {
-      compiled_ = *compiled;
-      const std::vector<bool> indicator =
-          compiled_->space.EventStates(event_);
-      event_states_.assign(indicator.begin(), indicator.end());
-      snap_.backend = "compiled";
-    } else if (options_.backend == Backend::kCompiled) {
-      return ForcedCompileError(compiled.status());
-    } else if (compiled.status().code() != StatusCode::kResourceExhausted) {
-      return compiled.status();
-    }
-  }
-  if (compiled_ == nullptr) {
-    state_instance_ = initial_;
+  CompileOptions copts;
+  copts.max_states = options_.compile_max_states;
+  copts.cancel = cancel;
+  PFQL_ASSIGN_OR_RETURN(
+      compiled_, ResolveBackend(kernel_, initial_, options_.backend, copts));
+  if (compiled_ != nullptr) {
+    PFQL_ASSIGN_OR_RETURN(event_states_, EventIndicator(*compiled_, *event_));
+    snap_.backend = "compiled";
+  } else {
     snap_.backend = "interpreted";
   }
   per_run_.reserve(options_.runs);
@@ -253,16 +317,11 @@ Status ResumableTrajectory::Initialize(const CancellationToken* cancel) {
 
 Status ResumableTrajectory::RunQuantum(size_t quantum,
                                        const CancellationToken* cancel) {
-  if (fault::InjectFault(fault::points::kTrajectoryRun)) {
-    return fault::InjectedError(fault::points::kTrajectoryRun);
-  }
   if (!initialized_) PFQL_RETURN_NOT_OK(Initialize(cancel));
-  const size_t discard = static_cast<size_t>(
-      options_.discard_fraction * static_cast<double>(options_.steps));
-  CancelPoller poller(cancel);
+  poller_.Rebind(cancel);
   size_t done = 0;
   while (done < quantum && snap_.samples < snap_.budget) {
-    PFQL_RETURN_NOT_OK(poller.Tick());
+    PFQL_RETURN_NOT_OK(poller_.Tick());
     if (run_step_ == 0) {  // fresh run: restart the walker at the initial
       if (compiled_ != nullptr) {
         state_id_ = 0;
@@ -274,29 +333,27 @@ Status ResumableTrajectory::RunQuantum(size_t quantum,
     bool holds = false;
     if (compiled_ != nullptr) {
       state_id_ = compiled_->chain.Step(state_id_, &rng_);
-      holds = event_states_[state_id_] != 0;
+      holds = run_step_ >= discard_ && event_states_[state_id_] != 0;
     } else {
-      auto next = kernel_.ApplySample(state_instance_, &rng_);
-      if (!next.ok()) return next.status();
-      state_instance_ = std::move(next).value();
-      holds = event_.Holds(state_instance_);
+      PFQL_ASSIGN_OR_RETURN(state_instance_,
+                            kernel_.ApplySample(state_instance_, &rng_));
+      if (run_step_ >= discard_) {
+        PFQL_ASSIGN_OR_RETURN(holds, event_->Holds(state_instance_));
+      }
     }
     ++snap_.total_steps;
     ++snap_.samples;
     ++run_step_;
     ++done;
-    if (run_step_ > discard && holds) ++run_hits_;
+    if (holds) ++run_hits_;
     if (run_step_ == options_.steps) FinishRun();
   }
   RefreshSnapshot();
-  CountSchedulerSamples("trajectory", done);
   return Status::OK();
 }
 
 void ResumableTrajectory::FinishRun() {
-  const size_t discard = static_cast<size_t>(
-      options_.discard_fraction * static_cast<double>(options_.steps));
-  const size_t counted = options_.steps - discard;
+  const size_t counted = options_.steps - discard_;
   per_run_.push_back(counted == 0 ? 0.0
                                   : static_cast<double>(run_hits_) /
                                         static_cast<double>(counted));
@@ -325,6 +382,133 @@ void ResumableTrajectory::RefreshSnapshot() {
   snap_.ci_halfwidth = std::min(
       1.0, SubGaussianZ(options_.delta) *
                std::sqrt(var / static_cast<double>(per_run_.size())));
+}
+
+// ---- The one-shot driver -----------------------------------------------
+
+std::vector<SamplerPtr> ForkWorkers(
+    size_t budget, size_t threads, Rng* rng,
+    const std::function<SamplerPtr(size_t share, Rng stream)>& make) {
+  const size_t workers = std::max<size_t>(1, std::min(threads, budget));
+  std::vector<SamplerPtr> samplers;
+  samplers.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    const size_t share = budget / workers + (w < budget % workers ? 1 : 0);
+    samplers.push_back(make(share, rng->Fork()));
+  }
+  return samplers;
+}
+
+namespace {
+
+// What stopped one worker, and how far it got.
+struct WorkerOutcome {
+  Status stop;               ///< OK when the budget ran out
+  bool interrupted = false;  ///< stop is a cancel, deadline or fault
+  size_t completed = 0;      ///< units of quanta that returned OK
+};
+
+// Runs one sampler to exhaustion. Before each quantum it fires the fault
+// point for every `fault_stride` units the quantum will take; a fault
+// shortens the quantum to the units before it, which still run.
+WorkerOutcome DriveWorker(ResumableSampler* sampler, const DriveSpec& spec) {
+  WorkerOutcome out;
+  while (!sampler->Exhausted()) {
+    const SamplerSnapshot& snap = sampler->snapshot();
+    size_t planned = std::min(spec.chunk, snap.budget - snap.samples);
+    for (size_t unit = 0; unit < planned; unit += spec.fault_stride) {
+      if (fault::InjectFault(spec.fault_point)) {
+        out.stop = fault::InjectedError(spec.fault_point);
+        out.interrupted = true;
+        planned = unit;
+        break;
+      }
+    }
+    if (planned > 0) {
+      Status status = sampler->RunQuantum(planned, spec.cancel);
+      if (!status.ok()) {
+        out.interrupted = status.code() == StatusCode::kCancelled ||
+                          status.code() == StatusCode::kDeadlineExceeded;
+        out.stop = std::move(status);
+        return out;
+      }
+      out.completed = sampler->snapshot().samples;
+    }
+    if (!out.stop.ok()) return out;
+  }
+  return out;
+}
+
+}  // namespace
+
+StatusOr<DriveResult> DriveToBudget(const std::vector<SamplerPtr>& workers,
+                                    const DriveSpec& spec) {
+  std::vector<WorkerOutcome> outcomes(workers.size());
+  const auto started = std::chrono::steady_clock::now();
+  if (workers.size() == 1) {
+    trace::Span worker_span(spec.span);
+    outcomes[0] = DriveWorker(workers[0].get(), spec);
+  } else {
+    // Worker threads join the request's trace by installing the spawning
+    // thread's context.
+    const trace::Context ctx = trace::Current();
+    std::vector<std::thread> pool;
+    pool.reserve(workers.size());
+    for (size_t w = 0; w < workers.size(); ++w) {
+      pool.emplace_back([&, w] {
+        trace::ScopedContext sc(ctx);
+        trace::Span worker_span(spec.span);
+        outcomes[w] = DriveWorker(workers[w].get(), spec);
+      });
+    }
+    for (auto& t : pool) t.join();
+  }
+
+  DriveResult run;
+  run.elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - started)
+                       .count();
+  for (size_t w = 0; w < workers.size(); ++w) {
+    const Status& stop = outcomes[w].stop;
+    if (!stop.ok()) {
+      if (!spec.allow_partial || !outcomes[w].interrupted) return stop;
+      if (run.interruption.ok()) run.interruption = stop;
+    }
+    const SamplerSnapshot& snap = workers[w]->snapshot();
+    run.samples += outcomes[w].completed;
+    run.hits += snap.hits;
+    run.total_steps += snap.total_steps;
+  }
+  if (!run.interruption.ok()) {
+    if (run.samples == 0) return run.interruption;
+    run.degraded = true;
+  }
+  return run;
+}
+
+void CountDrive(const char* kind, const DriveResult& run, bool compiled) {
+  auto& registry = metrics::MetricRegistry::Instance();
+  const std::string labels = std::string("kind=\"") + kind + "\"";
+  registry.GetCounter("pfql_sampler_samples_total", labels)
+      ->Increment(run.samples);
+  registry.GetCounter("pfql_sampler_steps_total", labels)
+      ->Increment(run.total_steps);
+  if (compiled) {
+    CountCompiledSteps(kind, run.total_steps, run.elapsed_us);
+  } else if (run.elapsed_us > 0 && run.samples > 0) {
+    registry.GetGauge("pfql_sampler_samples_per_sec", labels)
+        ->Set(static_cast<int64_t>(run.samples) * 1000000 / run.elapsed_us);
+  }
+}
+
+void CountCompiledSteps(const char* kind, size_t steps, int64_t elapsed_us) {
+  auto& registry = metrics::MetricRegistry::Instance();
+  const std::string labels = std::string("kind=\"") + kind + "\"";
+  registry.GetCounter("pfql_compiled_steps_total", labels)->Increment(steps);
+  if (elapsed_us > 0 && steps > 0) {
+    registry.GetGauge("pfql_compiled_steps_per_sec", labels)
+        ->Set(static_cast<int64_t>(steps) * 1000000 / elapsed_us);
+  }
 }
 
 }  // namespace eval

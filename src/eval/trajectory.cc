@@ -1,9 +1,10 @@
 #include "eval/trajectory.h"
 
 #include <chrono>
+#include <memory>
 #include <utility>
 
-#include "eval/noninflationary.h"
+#include "eval/resumable.h"
 #include "markov/compiled_chain.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -14,21 +15,18 @@ namespace eval {
 
 namespace {
 
-// Counts finished runs/steps once at return so the hot per-step loop stays
-// untouched; a scope guard catches every exit path (including errors).
-struct TrajectoryMetricsGuard {
-  const TrajectoryResult* result;
-  ~TrajectoryMetricsGuard() {
-    auto& registry = metrics::MetricRegistry::Instance();
-    static metrics::Counter* const runs_counter =
-        registry.GetCounter("pfql_trajectory_runs_total");
-    static metrics::Counter* const steps_counter =
-        registry.GetCounter("pfql_sampler_steps_total",
-                            "kind=\"trajectory\"");
-    runs_counter->Increment(result->per_run.size());
-    steps_counter->Increment(result->total_steps);
-  }
-};
+// Counts one call's completed runs and steps taken, on every exit past
+// the backend choice (errors included), once per call so the per-step loop
+// stays untouched.
+void CountTrajectory(size_t runs, size_t steps) {
+  auto& registry = metrics::MetricRegistry::Instance();
+  static metrics::Counter* const runs_counter =
+      registry.GetCounter("pfql_trajectory_runs_total");
+  static metrics::Counter* const steps_counter =
+      registry.GetCounter("pfql_sampler_steps_total", "kind=\"trajectory\"");
+  runs_counter->Increment(runs);
+  steps_counter->Increment(steps);
+}
 
 // Compiled-tier time averaging: all runs advance in one walker batch, hit
 // counting happens inside the wave loop (StepBatchCounting). The fault
@@ -40,18 +38,13 @@ StatusOr<TrajectoryResult> TimeAverageCompiled(const CompiledSpace& compiled,
                                                size_t discard, Rng* rng) {
   trace::Span span("trajectory.sample");
   TrajectoryResult result;
-  TrajectoryMetricsGuard metrics_guard{&result};
   result.compiled = true;
   result.compiled_states = compiled.chain.num_states();
   result.compiled_edges = compiled.chain.num_edges();
   result.runs_requested = params.runs;
 
-  std::vector<uint8_t> event_states(compiled.space.states.size(), 0);
-  for (size_t s = 0; s < compiled.space.states.size(); ++s) {
-    PFQL_ASSIGN_OR_RETURN(bool holds,
-                          event->Holds(compiled.space.states[s]));
-    event_states[s] = holds ? 1 : 0;
-  }
+  PFQL_ASSIGN_OR_RETURN(std::vector<uint8_t> event_states,
+                        EventIndicator(compiled, *event));
 
   size_t planned = params.runs;
   Status fault_interruption;
@@ -88,21 +81,12 @@ StatusOr<TrajectoryResult> TimeAverageCompiled(const CompiledSpace& compiled,
     total += avg;
   }
   result.total_steps = planned * params.steps;
+  CountTrajectory(result.per_run.size(), result.total_steps);
 
-  auto& registry = metrics::MetricRegistry::Instance();
-  static metrics::Counter* const compiled_steps =
-      registry.GetCounter("pfql_compiled_steps_total", "kind=\"trajectory\"");
-  static metrics::Gauge* const compiled_rate =
-      registry.GetGauge("pfql_compiled_steps_per_sec", "kind=\"trajectory\"");
-  compiled_steps->Increment(result.total_steps);
-  const int64_t elapsed_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count();
-  if (elapsed_us > 0 && result.total_steps > 0) {
-    compiled_rate->Set(static_cast<int64_t>(result.total_steps) * 1000000 /
-                       elapsed_us);
-  }
+  CountCompiledSteps("trajectory", result.total_steps,
+                     std::chrono::duration_cast<std::chrono::microseconds>(
+                         std::chrono::steady_clock::now() - started)
+                         .count());
 
   if (!fault_interruption.ok()) {
     if (!params.allow_partial || result.per_run.empty()) {
@@ -135,62 +119,49 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
       static_cast<size_t>(params.discard_fraction *
                           static_cast<double>(params.steps));
 
-  if (params.backend != Backend::kInterpreted) {
-    CompileOptions copts;
-    copts.max_states = params.compile_max_states;
-    copts.cancel = params.cancel;
-    auto compiled = GetOrCompile(kernel, initial, copts);
-    if (compiled.ok()) {
-      return TimeAverageCompiled(**compiled, event, params, discard, rng);
-    }
-    if (params.backend == Backend::kCompiled) {
-      return ForcedCompileError(compiled.status());
-    }
-    if (compiled.status().code() != StatusCode::kResourceExhausted) {
-      return compiled.status();
-    }
-    // kAuto and the chain exceeded the compile budget: interpreted tier.
+  CompileOptions copts;
+  copts.max_states = params.compile_max_states;
+  copts.cancel = params.cancel;
+  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledSpace> compiled,
+                        ResolveBackend(kernel, initial, params.backend, copts));
+  if (compiled != nullptr) {
+    return TimeAverageCompiled(*compiled, event, params, discard, rng);
   }
 
-  trace::Span span("trajectory.sample");
+  // Interpreted tier: one resumable walker drawing from the caller's
+  // stream, one run per quantum, so the fault point fires once per run and
+  // a run cut short never counts.
+  ResumableTrajectoryOptions options;
+  options.steps = params.steps;
+  options.runs = params.runs;
+  options.discard_fraction = params.discard_fraction;
+  options.backend = Backend::kInterpreted;
+  auto walker = std::make_unique<ResumableTrajectory>(kernel, initial, event,
+                                                      options, *rng);
+  const ResumableTrajectory& sampler = *walker;
+  std::vector<SamplerPtr> workers;
+  workers.push_back(std::move(walker));
+  DriveSpec spec;
+  spec.span = "trajectory.sample";
+  spec.fault_point = fault::points::kTrajectoryRun;
+  spec.fault_stride = params.steps;
+  spec.chunk = params.steps;
+  spec.cancel = params.cancel;
+  spec.allow_partial = params.allow_partial;
+  StatusOr<DriveResult> run = DriveToBudget(workers, spec);
+  *rng = sampler.rng();
+  CountTrajectory(sampler.per_run().size(), sampler.snapshot().total_steps);
+  PFQL_RETURN_NOT_OK(run.status());
+
   TrajectoryResult result;
-  TrajectoryMetricsGuard metrics_guard{&result};
   result.runs_requested = params.runs;
-  result.per_run.reserve(params.runs);
-  CancelPoller poller(params.cancel);
-  double total = 0.0;
-  // An interruption (deadline/cancel/fault) mid-run discards that run; with
-  // allow_partial the completed runs still yield a degraded estimate.
-  auto interrupt = [&](Status why) -> StatusOr<TrajectoryResult> {
-    if (!params.allow_partial || result.per_run.empty()) return why;
-    result.degraded = true;
-    result.interruption = std::move(why);
-    result.estimate = total / static_cast<double>(result.per_run.size());
-    return result;
-  };
-  for (size_t run = 0; run < params.runs; ++run) {
-    if (fault::InjectFault(fault::points::kTrajectoryRun)) {
-      return interrupt(fault::InjectedError(fault::points::kTrajectoryRun));
-    }
-    Instance state = initial;
-    size_t hits = 0, counted = 0;
-    for (size_t t = 0; t < params.steps; ++t) {
-      Status cancelled = poller.Tick();
-      if (!cancelled.ok()) return interrupt(std::move(cancelled));
-      PFQL_ASSIGN_OR_RETURN(state, kernel.ApplySample(state, rng));
-      ++result.total_steps;
-      if (t < discard) continue;
-      PFQL_ASSIGN_OR_RETURN(bool holds, event->Holds(state));
-      ++counted;
-      if (holds) ++hits;
-    }
-    const double avg =
-        counted == 0 ? 0.0
-                     : static_cast<double>(hits) / static_cast<double>(counted);
-    result.per_run.push_back(avg);
-    total += avg;
-  }
-  result.estimate = total / static_cast<double>(params.runs);
+  result.per_run = sampler.per_run();
+  result.total_steps = sampler.snapshot().total_steps;
+  // Every quantum ends on a run boundary, so the snapshot's estimate is the
+  // mean over exactly the completed runs.
+  result.estimate = sampler.snapshot().estimate;
+  result.degraded = run->degraded;
+  result.interruption = run->interruption;
   return result;
 }
 

@@ -11,6 +11,12 @@
 // Thm 5.6's restart sampler on fast-mixing chains, but assumption-free —
 // and it doubles as a fidelity check that the paper's limit semantics and
 // the chain-analytic semantics agree.
+//
+// The interpreted tier drives one ResumableTrajectory (eval/resumable.h),
+// one run per quantum, drawing from the caller's Rng. The compiled tier
+// steps all runs in lockstep as one walker batch (StepBatchCounting): a
+// different draw order, so its answers differ from the interpreted tier's
+// for the same seed.
 #ifndef PFQL_EVAL_TRAJECTORY_H_
 #define PFQL_EVAL_TRAJECTORY_H_
 

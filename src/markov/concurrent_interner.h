@@ -1,8 +1,8 @@
-// Concurrent instance interning for wave-parallel state-space exploration.
-// The sequential InstanceInterner (instance_interner.h) forces BuildStateSpace
-// to defer all successor deduplication to the single-threaded merge pass;
-// this table lets every expansion worker intern successor instances as it
-// discovers them, with no global lock:
+// Concurrent instance interning for wave-parallel state-space exploration,
+// and the state space's only interner. A sequential interner would force
+// BuildStateSpace to defer all successor deduplication to the
+// single-threaded merge pass; this table lets every expansion worker
+// intern successor instances as it discovers them, with no global lock:
 //
 //   * The table is hash-partitioned into cache-line-padded stripes (an
 //     instance's structural hash picks its stripe, so the "same instance
@@ -19,8 +19,8 @@
 //     snapshot and linearize before the racing inserts.
 //
 // Ids are claimed from one atomic counter, so they are dense (0..n-1) and
-// stable for the interner's lifetime, but — unlike the sequential interner —
-// their order is racy under concurrency. BuildStateSpace restores its
+// stable for the interner's lifetime, but their order is racy under
+// concurrency. BuildStateSpace restores its
 // deterministic first-seen-in-merge-order numbering with an integer remap
 // (state_space.cc); standalone users that need deterministic ids must
 // intern from one thread.

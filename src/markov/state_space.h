@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "lang/interpretation.h"
-#include "markov/instance_interner.h"
 #include "markov/markov_chain.h"
 #include "relational/instance.h"
 #include "util/cancellation.h"
@@ -20,12 +19,8 @@ namespace pfql {
 struct StateSpace {
   std::vector<Instance> states;
   MarkovChain chain{0};
-  /// Hash index over `states` (populated by BuildStateSpace). When in sync
-  /// with `states` it answers IndexOf in O(1); hand-assembled spaces that
-  /// never filled it fall back to a linear scan.
-  InstanceInterner index;
 
-  /// Index of an instance in `states`, or SIZE_MAX.
+  /// Index of an instance in `states` (a linear scan), or SIZE_MAX.
   size_t IndexOf(const Instance& instance) const;
 
   /// Indicator vector for an event over the explored states.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "sched/convergence.h"
+#include "util/fault_injection.h"
 #include "util/metrics.h"
 
 namespace pfql {
@@ -27,6 +28,35 @@ metrics::Gauge* ActiveTasksGauge() {
   static metrics::Gauge* const g =
       metrics::MetricRegistry::Instance().GetGauge("pfql_sched_active_tasks");
   return g;
+}
+
+// The sampler fault point a subscription kind fires once per quantum; null
+// for kinds without one.
+const char* QuantumFaultPoint(const std::string& kind) {
+  if (kind == "approx") return fault::points::kApproxSample;
+  if (kind == "mcmc") return fault::points::kMcmcSample;
+  if (kind == "trajectory") return fault::points::kTrajectoryRun;
+  return nullptr;
+}
+
+// Runs one quantum of `sampler`: the kind's fault point first (a firing
+// surfaces as an error completion on every fused subscriber), then the
+// sample units, counted per kind when the quantum succeeds.
+Status RunQuantum(const std::string& kind, eval::ResumableSampler* sampler,
+                  size_t quantum, const CancellationToken* cancel) {
+  const char* fault_point = QuantumFaultPoint(kind);
+  if (fault_point != nullptr && fault::InjectFault(fault_point)) {
+    return fault::InjectedError(fault_point);
+  }
+  const size_t before = sampler->snapshot().samples;
+  PFQL_RETURN_NOT_OK(sampler->RunQuantum(quantum, cancel));
+  const size_t done = sampler->snapshot().samples - before;
+  if (done > 0) {
+    metrics::MetricRegistry::Instance()
+        .GetCounter("pfql_sched_samples_total", "kind=\"" + kind + "\"")
+        ->Increment(done);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -495,7 +525,8 @@ void SampleScheduler::WorkerLoop() {
       }
     }
     if (status.ok() && sampler != nullptr) {
-      status = sampler->RunQuantum(options_.quantum, &shutdown_token_);
+      status = RunQuantum(task->kind, sampler, options_.quantum,
+                          &shutdown_token_);
     }
 
     lock.lock();

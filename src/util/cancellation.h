@@ -73,6 +73,11 @@ class CancelPoller {
   explicit CancelPoller(const CancellationToken* token, uint32_t stride = 64)
       : token_(token), stride_(stride == 0 ? 1 : stride) {}
 
+  /// Re-points the poller at `token` and keeps its tick count, so a poller
+  /// that outlives one call (a resumable sampler's, across quanta) keeps
+  /// its stride.
+  void Rebind(const CancellationToken* token) { token_ = token; }
+
   /// Call once per loop iteration.
   Status Tick() {
     if (token_ == nullptr) return Status::OK();

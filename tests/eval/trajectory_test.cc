@@ -4,6 +4,7 @@
 
 #include "eval/noninflationary.h"
 #include "gadgets/graphs.h"
+#include "util/metrics.h"
 
 namespace pfql {
 namespace eval {
@@ -89,6 +90,28 @@ TEST(TrajectoryTest, GeneralEventWithNonEmptyQuery) {
   auto exact = ExactForeverEvent(wq->kernel, wq->initial, *event);
   ASSERT_TRUE(exact.ok()) << exact.status();
   EXPECT_EQ(exact->probability, BigRational(1, 4));
+}
+
+// pfql_trajectory_runs_total counts the completed runs of every call, on
+// both tiers.
+TEST(TrajectoryTest, RunsCounterCountsCompletedRuns) {
+  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(3), 0);
+  ASSERT_TRUE(wq.ok());
+  metrics::Counter* runs =
+      metrics::MetricRegistry::Instance().GetCounter(
+          "pfql_trajectory_runs_total");
+  for (Backend backend : {Backend::kInterpreted, Backend::kCompiled}) {
+    TrajectoryParams params;
+    params.steps = 20;
+    params.runs = 3;
+    params.backend = backend;
+    Rng rng(6);
+    const uint64_t before = runs->Value();
+    auto result = TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
+                                      wq->initial, params, &rng);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(runs->Value() - before, 3u) << BackendToString(backend);
+  }
 }
 
 TEST(TrajectoryTest, ParameterValidation) {
