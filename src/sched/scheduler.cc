@@ -42,8 +42,9 @@ const char* QuantumFaultPoint(const std::string& kind) {
 // Runs one quantum of `sampler`: the kind's fault point first (a firing
 // surfaces as an error completion on every fused subscriber), then the
 // sample units, counted per kind when the quantum succeeds.
-Status RunQuantum(const std::string& kind, eval::ResumableSampler* sampler,
-                  size_t quantum, const CancellationToken* cancel) {
+Status ServiceQuantum(const std::string& kind,
+                      eval::ResumableSampler* sampler, size_t quantum,
+                      const CancellationToken* cancel) {
   const char* fault_point = QuantumFaultPoint(kind);
   if (fault_point != nullptr && fault::InjectFault(fault_point)) {
     return fault::InjectedError(fault_point);
@@ -525,8 +526,8 @@ void SampleScheduler::WorkerLoop() {
       }
     }
     if (status.ok() && sampler != nullptr) {
-      status = RunQuantum(task->kind, sampler, options_.quantum,
-                          &shutdown_token_);
+      status = ServiceQuantum(task->kind, sampler, options_.quantum,
+                              &shutdown_token_);
     }
 
     lock.lock();
